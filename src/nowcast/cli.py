@@ -5,8 +5,8 @@ against a named schema, ``synth`` writes a seeded synthetic dataset, and
 ``backtest`` runs the expanding-window evaluation over monthly-series
 files. Exit codes: 0 success, 1 domain error (bad data or bounds),
 2 I/O error. Every command is deterministic given its flags; the only
-randomness flows from ``--seed``. NOWCAST_THREADS caps model-fit
-parallelism and never changes results.
+randomness flows from ``--seed``. Models are fitted on one thread, and no
+environment variable changes results.
 """
 
 from __future__ import annotations

@@ -33,6 +33,10 @@ class NonFiniteError(NowcastError):
     """Data contains NaN or infinite values."""
 
 
+class InvalidModelError(NowcastError, ValueError):
+    """A serialized model document is malformed or out of range."""
+
+
 class MissingFeatureError(NowcastError):
     """A feature column required by a fitted model is absent."""
 

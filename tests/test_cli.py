@@ -174,3 +174,17 @@ class TestBacktestCommand:
             assert run(backtest_args(synth_dir, out), capsys)[0] == 0
             outputs.append((out / "report.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_thread_env_is_not_read(self, synth_dir, tmp_path, capsys, monkeypatch):
+        # fit builds its trees on one thread whatever the variable holds, so
+        # even a value that is no number leaves the run and its bytes alone
+        outputs = []
+        for threads in [None, "abc"]:
+            if threads is None:
+                monkeypatch.delenv("NOWCAST_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("NOWCAST_THREADS", threads)
+            out = tmp_path / f"t{threads}"
+            assert run(backtest_args(synth_dir, out), capsys)[0] == 0
+            outputs.append((out / "report.json").read_bytes())
+        assert outputs[0] == outputs[1]

@@ -1,9 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nowcast.errors import InvalidParamsError, MissingFeatureError, TooShortError
+from nowcast.errors import (
+    InvalidModelError,
+    InvalidParamsError,
+    MissingFeatureError,
+    NowcastError,
+    TooShortError,
+)
 from nowcast.extratrees import (
     ExtraTreesModel,
     ExtraTreesParams,
@@ -27,6 +36,11 @@ def table_from_arrays(columns, target="y", start=MonthKey(2018, 1)):
     months = tuple(start.shift(i) for i in range(n))
     cols = {k: np.asarray(v, dtype=float) for k, v in columns.items()}
     return FeatureTable(months, cols, target=target)
+
+
+def views(model):
+    """Nested Leaf/Split view of every tree in a fitted model."""
+    return [tree.view() for tree in model.trees]
 
 
 def random_table(n_rows, n_features, seed):
@@ -65,14 +79,14 @@ class TestFit:
     def test_constant_targets_give_single_leaves(self):
         table = table_from_arrays({"f0": [1.0, 2.0, 3.0, 4.0], "y": [7.0] * 4})
         model = fit(table, ExtraTreesParams(n_trees=5, seed=3), n_threads=1)
-        assert all(isinstance(t, Leaf) and t.value == 7.0 for t in model.trees)
+        assert all(isinstance(t, Leaf) and t.value == 7.0 for t in views(model))
         np.testing.assert_array_equal(predict(model, table), np.full(4, 7.0))
 
     def test_two_separable_rows_memorized_exactly(self):
         table = table_from_arrays({"f0": [1.0, 2.0], "y": [3.0, 9.0]})
         params = ExtraTreesParams(n_trees=10, min_samples_split=2, seed=5)
         model = fit(table, params, n_threads=1)
-        for tree in model.trees:
+        for tree in views(model):
             assert isinstance(tree, Split)
             assert 1.0 < tree.threshold < 2.0
             assert isinstance(tree.left, Leaf) and isinstance(tree.right, Leaf)
@@ -126,7 +140,7 @@ class TestTreeStructure:
         table = random_table(40, 3, seed=21)
         model = fit(table, ExtraTreesParams(n_trees=20, seed=21), n_threads=1)
         X = table.matrix(model.feature_names)
-        for tree in model.trees:
+        for tree in views(model):
             routed = leaf_counts_by_routing(tree, X)
             assert sum(n for _, n in routed) == 40
             assert all(leaf.count == n for leaf, n in routed)
@@ -135,7 +149,7 @@ class TestTreeStructure:
         table = random_table(60, 4, seed=22)
         model = fit(table, ExtraTreesParams(n_trees=10, seed=22), n_threads=1)
         X = table.matrix(model.feature_names)
-        for tree in model.trees:
+        for tree in views(model):
             check_thresholds_inside(tree, X)
 
     def test_predictions_within_training_target_range(self):
@@ -230,6 +244,163 @@ class TestSerialization:
         doc["schema_version"] = 99
         with pytest.raises(ValueError):
             model_from_dict(doc)
+
+
+def small_document():
+    """Model document of two trees whose roots split on one of two features."""
+    table = random_table(12, 2, seed=63)
+    params = ExtraTreesParams(n_trees=2, min_samples_split=2, seed=63)
+    doc = model_to_dict(fit(table, params, n_threads=1))
+    assert doc["trees"][0]["kind"] == "split"
+    return doc
+
+
+def first_leaf(doc):
+    node = doc["trees"][0]
+    while node["kind"] == "split":
+        node = node["left"]
+    return node
+
+
+class TestMalformedDocuments:
+    def test_error_type(self):
+        assert issubclass(InvalidModelError, NowcastError)
+        assert issubclass(InvalidModelError, ValueError)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda d: d.pop("params"), id="missing-params"),
+            pytest.param(lambda d: d["params"].pop("seed"), id="missing-param"),
+            pytest.param(lambda d: d.pop("feature_names"), id="missing-names"),
+            pytest.param(lambda d: d["trees"][0].pop("left"), id="missing-child"),
+            pytest.param(lambda d: first_leaf(d).pop("count"), id="missing-count"),
+            pytest.param(lambda d: d["trees"][0].update(kind="stump"), id="unknown-kind"),
+            pytest.param(lambda d: d["trees"][0].update(left=[1, 2]), id="child-not-object"),
+            pytest.param(lambda d: d["trees"].pop(), id="too-few-trees"),
+            pytest.param(lambda d: d["trees"].append(d["trees"][0]), id="too-many-trees"),
+            pytest.param(lambda d: d["trees"][0].update(feature_index=2), id="feature-past-names"),
+            pytest.param(lambda d: d["trees"][0].update(feature_index=-1), id="negative-feature"),
+            pytest.param(lambda d: d["trees"][0].update(threshold=math.nan), id="nan-threshold"),
+            pytest.param(lambda d: d["trees"][0].update(threshold="x"), id="text-threshold"),
+            pytest.param(lambda d: first_leaf(d).update(value=math.inf), id="inf-leaf-value"),
+            pytest.param(lambda d: d.update(importances=[1.0]), id="importances-length"),
+        ],
+    )
+    def test_rejected_with_domain_error(self, corrupt):
+        doc = small_document()
+        corrupt(doc)
+        with pytest.raises(InvalidModelError):
+            model_from_dict(doc)
+
+    def test_not_an_object(self):
+        with pytest.raises(InvalidModelError):
+            ExtraTreesModel.from_json("[]")
+
+
+class TestSampler:
+    def test_draws_match_scalar_generator_calls(self):
+        # one integers() call for all Fisher-Yates offsets, and uniform's
+        # arithmetic on random(), draw the bits of one integers() call per
+        # pick and of uniform(); the generator ends in the same state
+        sampler = RandomSplitSampler(np.random.Generator(np.random.PCG64(5)))
+        scalar = np.random.Generator(np.random.PCG64(5))
+        cases = np.random.default_rng(6)
+        for _ in range(300):
+            n = int(cases.integers(1, 30))
+            k = int(cases.integers(1, n + 1))
+            pool = list(range(100, 100 + n))
+            expected = list(pool)
+            for i in range(k):
+                j = i + int(scalar.integers(0, n - i))
+                expected[i], expected[j] = expected[j], expected[i]
+            assert sampler.choose_features(pool, k) == expected[:k]
+
+            lo = float(cases.normal())
+            # a range only two steps wide lands most draws on an endpoint
+            hi = math.nextafter(math.nextafter(lo, math.inf), math.inf)
+            if cases.random() < 0.5:
+                hi = lo + float(cases.exponential())
+            while True:
+                t = float(scalar.uniform(lo, hi))
+                if lo < t < hi:
+                    break
+            assert sampler.draw_threshold(lo, hi) == t
+        assert sampler.rng.bit_generator.state == scalar.bit_generator.state
+
+
+def route_view(node, x):
+    """Leaf value reached by row ``x`` in a nested Leaf/Split tree."""
+    while isinstance(node, Split):
+        node = node.left if x[node.feature_index] < node.threshold else node.right
+    return node.value
+
+
+def document_nodes(doc):
+    pending, nodes = [doc], 0
+    while pending:
+        node = pending.pop()
+        nodes += 1
+        if node["kind"] == "split":
+            pending += [node["left"], node["right"]]
+    return nodes
+
+
+@st.composite
+def training_tables(draw):
+    n_rows = draw(st.integers(2, 24))
+    # few distinct values, so rows repeat and nodes go constant
+    values = st.sampled_from([-2.5, -1.0, 0.0, 0.25, 1.0, 4.0])
+    wide = st.floats(-1e3, 1e3, allow_nan=False)
+    columns = {}
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["constant", "repeated", "wide"]))
+        if kind == "constant":
+            columns[f"f{i}"] = [draw(values)] * n_rows
+        else:
+            cells = values if kind == "repeated" else wide
+            columns[f"f{i}"] = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+    columns["y"] = draw(st.lists(values | wide, min_size=n_rows, max_size=n_rows))
+    return table_from_arrays(columns)
+
+
+class TestArrayEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table=training_tables(),
+        min_split=st.sampled_from([2, 3, 5]),
+        n_trees=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_arrays_agree_with_nested_view_and_json(self, table, min_split, n_trees, seed):
+        params = ExtraTreesParams(n_trees=n_trees, min_samples_split=min_split, seed=seed)
+        model = fit(table, params, n_threads=1)
+        # the training rows, plus rows sitting exactly on split thresholds
+        X = table.matrix(model.feature_names)
+        on_split = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
+        X = np.vstack([X, np.repeat(on_split[:, None], X.shape[1], axis=1)])
+        probes = table_from_arrays(
+            {**dict(zip(model.feature_names, X.T)), "y": np.zeros(len(X))}
+        )
+        routed = np.zeros(len(X))
+        for tree in model.trees:
+            view = tree.view()
+            routed += [route_view(view, x) for x in X.tolist()]
+        predicted = predict(model, probes)
+        assert predicted.tobytes() == (routed / n_trees).tobytes()
+        for i, month in enumerate(probes.months):
+            one_row = predict(model, probes.slice(month, month))
+            assert one_row.tobytes() == predicted[i : i + 1].tobytes()
+
+        doc = model_to_dict(model)
+        assert sum(t.feature.size for t in model.trees) == sum(
+            document_nodes(t) for t in doc["trees"]
+        )
+        restored = ExtraTreesModel.from_json(model.to_json())
+        assert predict(restored, probes).tobytes() == predicted.tobytes()
+        for ours, theirs in zip(model.trees, restored.trees):
+            for name in ("feature", "threshold", "left", "right", "value", "count"):
+                np.testing.assert_array_equal(getattr(ours, name), getattr(theirs, name))
 
 
 class TestOracleEquivalence:
