@@ -14,7 +14,6 @@ from nowcast import (
     ExtraTreesParams,
     SynthConfig,
     align,
-    apply_pipeline,
     generate,
     run_backtest,
 )
@@ -34,7 +33,7 @@ for approach in (Approach.SEASONAL_DIFF, Approach.MONTH_ONEHOT):
         model_params=ExtraTreesParams(n_trees=100, seed=7),
     )
     report = run_backtest(table, bt_config)
-    steps = ", ".join(apply_pipeline(table, approach).ledger.describe())
+    steps = ", ".join(approach.ledger.describe())
     print(
         f"\npipeline {approach.value} ({approach.name.lower()}): "
         f"{len(report.records)} test months"

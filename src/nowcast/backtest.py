@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,12 +94,7 @@ class BacktestConfig:
             "min_train_months": self.min_train_months,
             "horizon_months": self.horizon_months,
             "approach": self.approach.value,
-            "model_params": {
-                "n_trees": self.model_params.n_trees,
-                "k_features": self.model_params.k_features,
-                "min_samples_split": self.model_params.min_samples_split,
-                "seed": self.model_params.seed,
-            },
+            "model_params": asdict(self.model_params),
         }
 
 
@@ -127,12 +122,16 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """All per-month records plus summary metrics and the config echo."""
+    """All per-month records plus summary metrics and the config echo.
+
+    ``r_squared_transformed`` is None when the transformed actuals are
+    constant, which leaves it undefined.
+    """
 
     records: tuple[PredictionRecord, ...]
     r_squared_level: float
     directional_accuracy: float
-    r_squared_transformed: float
+    r_squared_transformed: float | None
     config: BacktestConfig
 
     def to_dict(self) -> dict:
@@ -198,10 +197,13 @@ def run_backtest(
     """Walk forward through ``table``, one test month at a time.
 
     ``table`` holds level-scale columns with the target set and an empty
-    ledger. For each test month the training set is rebuilt from all months
-    strictly before it, transformed per the configured approach, and a
-    fresh model is fitted; windows therefore expand by one row per step and
-    nothing from the test month or later ever reaches the model.
+    ledger. It is transformed once, per the configured approach; for each
+    test month a fresh model is fitted on the transformed rows of all
+    months strictly before it, so windows expand by one row per step.
+    Every transform step looks only backwards, so a month's transformed row
+    depends on no later value and nothing from the test month or later
+    reaches training; ``tests/test_backtest.py`` checks this by changing
+    every value after a month and comparing the records up to it.
 
     ``on_window`` (when given) is called with the test month and the tuple
     of training months before each fit, which is how the no-lookahead
@@ -219,13 +221,14 @@ def run_backtest(
         )
 
     months = table.months
-    target_levels = table.target_values()
+    target = table.target_series()
+    transformed = apply_pipeline(table, config.approach)
+    actual_transformed = transformed.target_values()
+    need = required_history(transformed.ledger)  # leading rows dropped
     records: list[PredictionRecord] = []
     for t in range(config.min_train_months, n):
-        window = table.slice(months[0], months[t])
-        transformed = apply_pipeline(window, config.approach)
-        train = transformed.slice(transformed.months[0], transformed.months[-2])
-        test_row = transformed.slice(transformed.months[-1], transformed.months[-1])
+        train = transformed.slice(transformed.start, months[t - 1])
+        test_row = transformed.slice(months[t], months[t])
 
         if on_window is not None:
             on_window(months[t], train.months)
@@ -233,11 +236,8 @@ def run_backtest(
 
         model = fit(train, config.model_params, n_threads=n_threads)
         predicted_transformed = float(predict(model, test_row)[0])
-        actual_transformed = float(transformed.target_values()[-1])
 
-        history = table.target_series().window(
-            months[t - required_history(transformed.ledger)], months[t - 1]
-        )
+        history = target.window(months[t - need], months[t - 1])
         predicted_level = reconstruct_level(
             transformed.ledger, predicted_transformed, history, months[t]
         )
@@ -245,25 +245,29 @@ def run_backtest(
             PredictionRecord(
                 month=months[t],
                 predicted_transformed=predicted_transformed,
-                actual_transformed=actual_transformed,
+                actual_transformed=float(actual_transformed[t - need]),
                 predicted_level=predicted_level,
-                actual_level=float(target_levels[t]),
+                actual_level=float(target.values[t]),
                 train_rows_used=len(train),
             )
         )
 
     predicted_levels = [r.predicted_level for r in records]
     actual_levels = [r.actual_level for r in records]
-    prior_actuals = [float(target_levels[(r.month - months[0]) - 1]) for r in records]
+    prior_actuals = [float(target.values[(r.month - months[0]) - 1]) for r in records]
+    try:
+        r_squared_transformed = r_squared(
+            [r.actual_transformed for r in records],
+            [r.predicted_transformed for r in records],
+        )
+    except DegenerateActualsError:
+        r_squared_transformed = None  # constant transformed actuals: undefined
     return BacktestReport(
         records=tuple(records),
         r_squared_level=r_squared(actual_levels, predicted_levels),
         directional_accuracy=directional_accuracy(
             predicted_levels, actual_levels, prior_actuals
         ),
-        r_squared_transformed=r_squared(
-            [r.actual_transformed for r in records],
-            [r.predicted_transformed for r in records],
-        ),
+        r_squared_transformed=r_squared_transformed,
         config=config,
     )

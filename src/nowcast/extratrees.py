@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -423,12 +423,7 @@ def model_to_dict(model: ExtraTreesModel) -> dict:
     """Versioned JSON-ready encoding of a fitted model."""
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "params": {
-            "n_trees": model.params.n_trees,
-            "k_features": model.params.k_features,
-            "min_samples_split": model.params.min_samples_split,
-            "seed": model.params.seed,
-        },
+        "params": asdict(model.params),
         "feature_names": list(model.feature_names),
         "importances": [float(v) for v in model.importances],
         "trees": [_fold(t, _leaf_doc, _split_doc) for t in model.trees],

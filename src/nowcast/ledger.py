@@ -2,7 +2,10 @@
 
 The ledger is what makes level-scale reconstruction possible: forward steps
 are listed in application order, and inverses are applied in reverse order
-(see :func:`nowcast.transforms.reconstruct_level`).
+(see :func:`nowcast.transforms.reconstruct_level`). Each step states its
+own ``lag`` (months of history it consumes, 0 for an identity on the
+target scale) and ``label``; everything else about a pipeline's geometry is
+derived from those.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class FirstDifference:
     """value(t) = observation(t) - observation(t - 1)."""
+
+    lag = 1
+    label = "first_difference"
 
 
 @dataclass(frozen=True)
@@ -25,10 +31,21 @@ class SeasonalDifference:
         if self.period < 2:
             raise ValueError(f"seasonal period must be >= 2, got {self.period}")
 
+    @property
+    def lag(self) -> int:
+        return self.period
+
+    @property
+    def label(self) -> str:
+        return f"seasonal_difference({self.period})"
+
 
 @dataclass(frozen=True)
 class MonthOneHot:
     """Calendar-month indicator columns; identity on the target scale."""
+
+    lag = 0
+    label = "month_one_hot"
 
 
 TransformStep = FirstDifference | SeasonalDifference | MonthOneHot
@@ -44,18 +61,6 @@ class TransformLedger:
     def is_empty(self) -> bool:
         return not self.steps
 
-    def record(self, step: TransformStep) -> "TransformLedger":
-        """Return a new ledger with ``step`` appended."""
-        return TransformLedger(self.steps + (step,))
-
     def describe(self) -> list[str]:
         """Human-readable step names, e.g. for report JSON."""
-        out = []
-        for step in self.steps:
-            if isinstance(step, FirstDifference):
-                out.append("first_difference")
-            elif isinstance(step, SeasonalDifference):
-                out.append(f"seasonal_difference({step.period})")
-            else:
-                out.append("month_one_hot")
-        return out
+        return [step.label for step in self.steps]

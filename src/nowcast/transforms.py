@@ -1,6 +1,7 @@
 """Detrending, deseasoning, month one-hot encoding, and exact inverses.
 
-Two fixed pipelines are provided for model input preparation:
+Two fixed pipelines are provided for model input preparation, each stated
+once as the :class:`TransformLedger` its :class:`Approach` carries:
 
 * :attr:`Approach.SEASONAL_DIFF` ("A") — first difference every column,
   then difference again at lag 12, so both trend and annual structure are
@@ -9,7 +10,10 @@ Two fixed pipelines are provided for model input preparation:
   append twelve calendar-month indicator columns so the model can learn the
   seasonal pattern itself.
 
-Each pipeline records its steps in the table's ledger;
+:func:`apply_pipeline` applies a ledger's steps in order and drops
+:func:`required_history` rows from the front. Every step looks only
+backwards, so transforming a table and then cutting it at a month gives
+the same rows, bit for bit, as cutting first and transforming the prefix.
 :func:`reconstruct_level` walks the ledger backwards to turn a transformed
 prediction back into a level, anchored on actual history.
 """
@@ -27,7 +31,6 @@ from .ledger import (
     MonthOneHot,
     SeasonalDifference,
     TransformLedger,
-    TransformStep,
 )
 from .timeseries import FeatureTable, MonthKey, MonthlySeries
 
@@ -130,67 +133,58 @@ class Approach(str, enum.Enum):
     SEASONAL_DIFF = "A"
     MONTH_ONEHOT = "B"
 
-    # rows lost from the front of a table: 1 for the first difference,
-    # plus 12 for the seasonal difference in the A pipeline
     @property
-    def leading_rows_dropped(self) -> int:
-        return 13 if self is Approach.SEASONAL_DIFF else 1
+    def ledger(self) -> TransformLedger:
+        """The steps :func:`apply_pipeline` applies for this approach."""
+        return _LEDGERS[self]
 
-    @property
-    def min_table_rows(self) -> int:
-        return 14 if self is Approach.SEASONAL_DIFF else 3
+
+_LEDGERS = {
+    Approach.SEASONAL_DIFF: TransformLedger((FirstDifference(), SeasonalDifference(12))),
+    Approach.MONTH_ONEHOT: TransformLedger((FirstDifference(), MonthOneHot())),
+}
+
+
+def _difference(series: MonthlySeries, lag: int) -> MonthlySeries:
+    return first_difference(series) if lag == 1 else seasonal_difference(series, lag)
 
 
 def apply_pipeline(table: FeatureTable, approach: Approach | str) -> FeatureTable:
     """Transform every column of a level-scale table for model input.
 
-    Rows that lack the lags the differencing needs are dropped from the
-    front. The returned table's ledger records the applied steps so
-    :func:`reconstruct_level` can undo them.
+    The approach's ledger steps run in order; the first
+    ``required_history(ledger)`` rows, which lack the lags the differencing
+    needs, are dropped from the front, and a table too short to keep one
+    row raises :class:`TooShortError`. The returned table carries the
+    ledger so :func:`reconstruct_level` can undo it.
     """
-    approach = Approach(approach)
+    ledger = Approach(approach).ledger
     if table.target is None:
         raise ValueError("apply_pipeline requires the table's target to be set")
     if not table.ledger.is_empty:
         raise ValueError("table has already been transformed (ledger not empty)")
-    if len(table) < approach.min_table_rows:
-        raise TooShortError(
-            f"approach {approach.value} needs at least {approach.min_table_rows} rows, "
-            f"got {len(table)}"
-        )
 
-    drop = approach.leading_rows_dropped
-    months = table.months[drop:]
-    cols: dict[str, np.ndarray] = {}
-    for name, values in table.columns.items():
-        d1 = values[1:] - values[:-1]
-        if approach is Approach.SEASONAL_DIFF:
-            cols[name] = d1[12:] - d1[:-12]
-        else:
-            cols[name] = d1
-
-    ledger = TransformLedger((FirstDifference(),))
-    if approach is Approach.SEASONAL_DIFF:
-        ledger = ledger.record(SeasonalDifference(12))
-    else:
-        for m, col in zip(range(1, 13), ONE_HOT_COLUMNS):
-            cols[col] = np.array([1.0 if mk.month == m else 0.0 for mk in months])
-        ledger = ledger.record(MonthOneHot())
-
-    return FeatureTable(months, cols, table.target, ledger)
-
-
-def _step_period(step: TransformStep) -> int | None:
-    if isinstance(step, FirstDifference):
-        return 1
-    if isinstance(step, SeasonalDifference):
-        return step.period
-    return None  # MonthOneHot: identity on the target scale
+    series = [MonthlySeries(table.start, v, name) for name, v in table.columns.items()]
+    for step in ledger.steps:
+        if step.lag:
+            series = [_difference(s, step.lag) for s in series]
+        else:  # month one-hot: twelve indicator columns, data unchanged
+            rows = np.array([one_hot_month(mk).components for mk in series[0].months()])
+            series += [
+                MonthlySeries(series[0].start, rows[:, j], col)
+                for j, col in enumerate(ONE_HOT_COLUMNS)
+            ]
+    months = table.months[required_history(ledger) :]
+    return FeatureTable(months, {s.name: s.values for s in series}, table.target, ledger)
 
 
 def required_history(ledger: TransformLedger) -> int:
-    """Months of actual history needed to anchor a reconstruction."""
-    return sum(_step_period(s) or 0 for s in ledger.steps)
+    """Months of history the ledger's steps consume.
+
+    :func:`apply_pipeline` drops that many leading rows, and a
+    reconstruction needs that many months of actual history.
+    """
+    return sum(step.lag for step in ledger.steps)
 
 
 def reconstruct_level(
@@ -218,15 +212,12 @@ def reconstruct_level(
 
     # One-hot steps are identity on the target scale, so only differencing
     # steps take part in the reconstruction walk.
-    periods = [p for p in (_step_period(s) for s in ledger.steps) if p is not None]
+    periods = [step.lag for step in ledger.steps if step.lag]
 
     # Forward pass: the history as seen just before each differencing step.
     stages = [history]
     for period in periods[:-1]:
-        if period == 1:
-            stages.append(first_difference(stages[-1]))
-        else:
-            stages.append(seasonal_difference(stages[-1], period))
+        stages.append(_difference(stages[-1], period))
 
     # Backward pass: add each stage's lagged anchor in reverse step order.
     value = float(predicted_transformed)

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nowcast.backtest import (
+    MIN_TRAIN_FLOOR,
     BacktestConfig,
     BacktestReport,
     directional_accuracy,
@@ -186,6 +189,67 @@ class TestRunBacktest:
         config = BacktestConfig(30, Approach.MONTH_ONEHOT, ExtraTreesParams(seed=13))
         report = run_backtest(table, config, n_threads=1)
         assert report.r_squared_level >= 0.99
+
+    def test_constant_transformed_actuals_score_none(self):
+        # a linear target is constant after approach A's two differences
+        months = tuple(MonthKey(2013, 1).shift(i) for i in range(30))
+        driver = np.cumsum(np.random.default_rng(0).normal(size=30))
+        table = FeatureTable(
+            months,
+            {"driver": driver, "target": 5.0 * np.arange(30.0)},
+            target="target",
+        )
+        config = BacktestConfig(24, Approach.SEASONAL_DIFF, small_params())
+        report = run_backtest(table, config)
+        assert report.r_squared_transformed is None
+        assert json.loads(report.to_json())["metrics"]["r_squared_transformed"] is None
+        assert len(report.records) == 6
+
+
+def record_bits(record):
+    floats = (
+        record.predicted_transformed,
+        record.actual_transformed,
+        record.predicted_level,
+        record.actual_level,
+    )
+    return (record.month, *(float.hex(v) for v in floats), record.train_rows_used)
+
+
+class TestNoLookahead:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(list(Approach)),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 6),
+        st.data(),
+    )
+    def test_later_values_never_change_earlier_records(self, approach, seed, cut, data):
+        """Changing every value after month t leaves each record up to t as it was."""
+        min_train = MIN_TRAIN_FLOOR[approach]
+        n = min_train + 8
+        rng = np.random.default_rng(seed)
+        months = tuple(MonthKey(2010, 1).shift(i) for i in range(n))
+        cols = {
+            "f0": np.cumsum(rng.normal(size=n)),
+            "f1": rng.normal(size=n),
+            "target": np.cumsum(rng.normal(1.0, 2.0, size=n)),
+        }
+        t = min_train + cut  # last month whose records must not move
+        later = st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=n - t - 1, max_size=n - t - 1
+        )
+        poisoned = {name: v.copy() for name, v in cols.items()}
+        for v in poisoned.values():
+            v[t + 1 :] = data.draw(later)
+        config = BacktestConfig(min_train, approach, ExtraTreesParams(n_trees=3, seed=seed))
+        clean = run_backtest(FeatureTable(months, cols, "target"), config)
+        dirty = run_backtest(FeatureTable(months, poisoned, "target"), config)
+        kept = [r for r in clean.records if r.month <= months[t]]
+        assert len(kept) == cut + 1
+        assert [record_bits(r) for r in kept] == [
+            record_bits(r) for r in dirty.records[: len(kept)]
+        ]
 
 
 class TestReportOutputs:

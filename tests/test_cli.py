@@ -166,6 +166,21 @@ class TestBacktestCommand:
         assert code == 1
         assert "common months" in err
 
+    def test_noise_free_approach_a_reports_null_transformed_r2(self, tmp_path, capsys):
+        # without noise the doubly differenced target is constant, so its
+        # R-squared is undefined; the run still writes every prediction
+        data = tmp_path / "clean"
+        noise_free = ["--noise-sd", "0", "--feature-noise-sd", "0", "--n-features", "2"]
+        assert main(synth_args(data, months=60, seed=1, extra=noise_free)) == 0
+        out = tmp_path / "a"
+        args = backtest_args(data, out, approach="A", min_train="36")
+        code, _, _ = run(args, capsys)
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["metrics"]["r_squared_transformed"] is None
+        assert '"r_squared_transformed": null' in (out / "report.json").read_text()
+        assert len(doc["predictions"]) == 24
+
     def test_thread_env_does_not_change_report(self, synth_dir, tmp_path, capsys, monkeypatch):
         outputs = []
         for threads in ["1", "4"]:

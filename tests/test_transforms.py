@@ -15,6 +15,7 @@ from nowcast.transforms import (
     invert_seasonal_difference,
     one_hot_month,
     reconstruct_level,
+    required_history,
 )
 from nowcast.transforms import seasonal_difference
 
@@ -198,6 +199,70 @@ class TestApplyPipeline:
         out = apply_pipeline(level_table(30), "B")
         with pytest.raises(ValueError):
             apply_pipeline(out, "B")
+
+
+def assert_same_bits(a, b):
+    """Tables equal, ledger included, with every column equal bit for bit."""
+    assert a == b
+    for name in a.column_names:
+        assert a.column(name).tobytes() == b.column(name).tobytes()
+
+
+@st.composite
+def level_tables(draw, min_rows=1, max_rows=30):
+    n = draw(st.integers(min_rows, max_rows))
+    n_features = draw(st.integers(1, 3))
+    start = MonthKey(draw(st.integers(1990, 2030)), draw(st.integers(1, 12)))
+    column = st.lists(finite_floats, min_size=n, max_size=n)
+    cols = {f"f{i}": draw(column) for i in range(n_features)}
+    cols["target"] = draw(column)
+    months = tuple(start.shift(i) for i in range(n))
+    return FeatureTable(months, cols, target="target")
+
+
+class TestPipelineGeometry:
+    def test_ledgers_state_each_approach(self):
+        assert Approach.SEASONAL_DIFF.ledger.steps == (
+            FirstDifference(),
+            SeasonalDifference(12),
+        )
+        assert Approach.MONTH_ONEHOT.ledger.steps == (FirstDifference(), MonthOneHot())
+        assert Approach.SEASONAL_DIFF.ledger.describe() == [
+            "first_difference",
+            "seasonal_difference(12)",
+        ]
+        assert Approach.MONTH_ONEHOT.ledger.describe() == [
+            "first_difference",
+            "month_one_hot",
+        ]
+
+    @pytest.mark.parametrize("approach", list(Approach))
+    def test_rows_dropped_are_required_history(self, approach):
+        table = level_table(40, seed=3)
+        out = apply_pipeline(table, approach)
+        assert out.ledger == approach.ledger
+        assert len(table) - len(out) == required_history(approach.ledger)
+        assert out.months == table.months[required_history(approach.ledger) :]
+
+    @pytest.mark.parametrize("approach,too_short", [("A", 13), ("B", 1)])
+    def test_shortest_tables(self, approach, too_short):
+        with pytest.raises(TooShortError):
+            apply_pipeline(level_table(too_short), approach)
+        assert len(apply_pipeline(level_table(too_short + 1), approach)) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_tables(), st.sampled_from(list(Approach)))
+    def test_prefix_stability(self, table, approach):
+        """Transforming a prefix equals cutting the transformed table there."""
+        need = required_history(approach.ledger)
+        if len(table) <= need:
+            with pytest.raises(TooShortError):
+                apply_pipeline(table, approach)
+            return
+        full = apply_pipeline(table, approach)
+        for month in table.months[need:]:
+            prefix = apply_pipeline(table.slice(table.start, month), approach)
+            assert_same_bits(prefix, full.slice(full.start, month))
 
 
 class TestReconstructLevel:
