@@ -53,6 +53,14 @@ class UnreadableFileError(NowcastError):
     """A file could not be opened or decoded."""
 
 
+class MalformedFileError(NowcastError, ValueError):
+    """A file breaks its schema; the message reads ``path:line: column: message``."""
+
+
+class ColumnClashError(NowcastError, ValueError):
+    """A derived column would replace an input column of the same name."""
+
+
 class EmptyInputError(NowcastError):
     """An aggregation received no records."""
 

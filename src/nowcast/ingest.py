@@ -8,9 +8,11 @@ months as YYYY-MM, dates as YYYY-MM-DD):
 * claims    — ``week_ending,initial_claims,continued_claims``
 * monthly-series — ``month,value``
 
-``validate`` produces a deterministic findings report without raising on
-bad rows; the ``read_*`` functions are strict and raise on the first
-malformed row, so validate first when provenance is uncertain.
+Each schema is one :class:`Schema` in :data:`SCHEMAS`: header, column
+parsers and bounds, and the rules across rows. One scan walks a file
+against it. ``validate`` reports what the scan finds plus robust outliers
+and never raises on bad rows; the ``read_*`` functions enforce the same
+spec, raising its first error as :class:`MalformedFileError`.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ import csv
 import datetime as dt
 import json
 import logging
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, TooShortError, UnreadableFileError
+from .errors import EmptyInputError, MalformedFileError, TooShortError, UnreadableFileError
 from .timeseries import MonthKey, MonthlySeries
 
 logger = logging.getLogger(__name__)
@@ -36,13 +40,6 @@ VALIDATION_SCHEMA_VERSION = 1
 # robust z-score threshold: values more than this many MADs from the
 # column median are flagged (as warnings, not errors)
 OUTLIER_MAD_THRESHOLD = 5.0
-
-SCHEMA_HEADERS = {
-    "employer": ["employer_id", "month", "active_employees", "sector", "size_band"],
-    "storm": ["state", "event_type", "begin_date", "injuries", "damage_usd"],
-    "claims": ["week_ending", "initial_claims", "continued_claims"],
-    "monthly-series": ["month", "value"],
-}
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,130 @@ class WeeklyClaims:
     week_ending: dt.date
     initial_claims: int
     continued_claims: int
+
+
+class _Observation(NamedTuple):
+    month: MonthKey
+    value: float
+
+
+class _BadCell(Exception):
+    """A cell its column rejects; ``args`` are the finding's kind and message."""
+
+
+def _month(text: str) -> MonthKey:
+    try:
+        return MonthKey.parse(text)
+    except ValueError:
+        raise _BadCell("non_parseable", f"not a YYYY-MM month: {text!r}") from None
+
+
+def _date(text: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError:
+        raise _BadCell("non_parseable", f"not a YYYY-MM-DD date: {text!r}") from None
+
+
+def _integer(text: str) -> int:
+    """Exactly what ``int()`` takes; a number it refuses is a type mismatch."""
+    try:
+        value = int(text)
+        float(value)  # beyond the float range is no count either
+        return value
+    except (ValueError, OverflowError):
+        pass
+    try:
+        float(text)
+    except ValueError:
+        raise _BadCell("non_parseable", f"not a number: {text!r}") from None
+    raise _BadCell("type_mismatch", f"expected an integer: {text!r}")
+
+
+def _real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise _BadCell("non_parseable", f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise _BadCell("non_finite", f"not a finite number: {text!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class Column:
+    """How one column's cells are read: stripped, then parsed and bounded."""
+
+    name: str
+    parse: Callable[[str], Any]  # raises _BadCell
+    required: bool = True  # an empty cell is a missing_value error
+    minimum: int | None = None
+    outliers: bool = False  # joins the robust-outlier pass
+
+
+@dataclass(frozen=True)
+class Schema:
+    """One file schema: its header, its columns and its rules across rows."""
+
+    header: tuple[str, ...]
+    columns: tuple[Column, ...]  # each header column, in the order a row's cells are checked
+    record: Callable[..., Any]  # built from a good row's values in header order
+    # key columns whose stripped texts may not repeat; a repeat is named on
+    # the first, and a row is keyed only when that first cell is good
+    unique: tuple[str, ...] = ()
+    duplicate: str = ""  # message for a repeat, formatted with the key texts
+    increasing: str | None = None  # each good value must exceed the last
+    contiguous: str | None = None  # each good month must follow the last
+    saturdays: str | None = None  # a date off a Saturday is a warning
+    needs_rows: bool = False  # a header-only file is an error
+
+
+SCHEMAS: dict[str, Schema] = {
+    "employer": Schema(
+        header=("employer_id", "month", "active_employees", "sector", "size_band"),
+        columns=(
+            Column("month", _month),
+            Column("active_employees", _integer, minimum=0, outliers=True),
+            Column("employer_id", str),
+            Column("sector", str, required=False),
+            Column("size_band", str, required=False),
+        ),
+        record=EmployerRecord,
+        unique=("employer_id", "month"),
+        duplicate="employer {0!r} repeated for {1}",
+    ),
+    "storm": Schema(
+        header=("state", "event_type", "begin_date", "injuries", "damage_usd"),
+        columns=(
+            Column("state", str, required=False),
+            Column("event_type", str, required=False),
+            Column("begin_date", _date),
+            Column("injuries", _integer, minimum=0, outliers=True),
+            Column("damage_usd", _real, minimum=0, outliers=True),
+        ),
+        record=StormEvent,
+    ),
+    "claims": Schema(
+        header=("week_ending", "initial_claims", "continued_claims"),
+        columns=(
+            Column("week_ending", _date),
+            Column("initial_claims", _integer, minimum=0, outliers=True),
+            Column("continued_claims", _integer, minimum=0, outliers=True),
+        ),
+        record=WeeklyClaims,
+        unique=("week_ending",),
+        duplicate="week {0} repeated",
+        increasing="week_ending",
+        saturdays="week_ending",
+    ),
+    "monthly-series": Schema(
+        header=("month", "value"),
+        columns=(Column("value", _real, outliers=True), Column("month", _month)),
+        record=_Observation,
+        contiguous="month",
+        needs_rows=True,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -106,16 +227,7 @@ class ValidationReport:
             "schema": self.schema,
             "path": self.path,
             "passed": self.passed,
-            "findings": [
-                {
-                    "column": f.column,
-                    "row": f.row,
-                    "kind": f.kind,
-                    "severity": f.severity,
-                    "message": f.message,
-                }
-                for f in self.findings
-            ],
+            "findings": [dict(vars(f)) for f in self.findings],
             "column_summary": self.column_summary(),
         }
 
@@ -123,11 +235,13 @@ class ValidationReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _parse_date(text: str) -> dt.date:
-    return dt.date.fromisoformat(text.strip())
+def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]]:
+    """Yield ``(line, values, findings)`` for each data row, in file order.
 
-
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    ``values`` are the row's cells parsed in header order, ``None`` where a
+    cell is bad, or ``None`` as a whole for a wrong field count and for the
+    file-level findings: a wrong header (which ends the scan), no data rows.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -135,245 +249,140 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
         raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise UnreadableFileError(f"{path} is empty (missing header)")
-    return rows[0], rows[1:]
-
-
-class _Collector:
-    """Accumulates findings and per-column numeric values during validation."""
-
-    def __init__(self) -> None:
-        self.findings: list[Finding] = []
-        self.numeric: dict[str, list[tuple[int, float]]] = {}
-
-    def error(self, column: str, row: int, kind: str, message: str) -> None:
-        self.findings.append(Finding(column, row, kind, "error", message))
-
-    def warn(self, column: str, row: int, kind: str, message: str) -> None:
-        self.findings.append(Finding(column, row, kind, "warning", message))
-
-    def cell(
-        self,
-        column: str,
-        row: int,
-        text: str | None,
-        kind: str,
-        minimum: float | None = None,
-        integer: bool = False,
-    ) -> float | None:
-        """Validate one cell; returns the parsed value when usable.
-
-        ``kind`` is "int", "float", "date", or "month". Missing cells and
-        parse failures are error findings; range violations too.
-        """
-        if text is None or not text.strip():
-            self.error(column, row, "missing_value", "cell is empty")
-            return None
-        text = text.strip()
-        if kind == "date":
+    header, rows = rows[0], rows[1:]
+    if tuple(header) != spec.header:
+        got = f"expected {','.join(spec.header)!r}, got {','.join(header)!r}"
+        yield 1, None, [Finding("<header>", 1, "header_mismatch", "error", got)]
+        return
+    width = len(spec.header)
+    index = {name: i for i, name in enumerate(spec.header)}
+    cells = []
+    for c in spec.columns:
+        # a file repeats few month and date texts, and they are dear to parse
+        memo = {} if c.parse in (_month, _date) else None
+        cells.append((c.name, index[c.name], c.parse, c.required, c.minimum, memo))
+    key = [index[name] for name in spec.unique]
+    key_of = itemgetter(*key) if key else None
+    seen: dict = {}
+    ordered = (spec.increasing, spec.contiguous, spec.saturdays)
+    increasing, contiguous, saturdays = map(index.get, ordered)
+    last_increasing = last_contiguous = None
+    for line, row in enumerate(rows, 2):
+        if len(row) != width:
+            message = f"expected {width} fields, got {len(row)}"
+            yield line, None, [Finding("<row>", line, "field_count", "error", message)]
+            continue
+        values: list = [None] * width
+        found: list[Finding] = []
+        for name, i, parse, required, minimum, memo in cells:
+            row[i] = text = row[i].strip()  # in place: the key below reads the stripped texts
             try:
-                _parse_date(text)
-            except ValueError:
-                self.error(column, row, "non_parseable", f"not a YYYY-MM-DD date: {text!r}")
-            return None
-        if kind == "month":
-            try:
-                MonthKey.parse(text)
-            except ValueError:
-                self.error(column, row, "non_parseable", f"not a YYYY-MM month: {text!r}")
-            return None
-        try:
-            value = float(text)
-        except ValueError:
-            self.error(column, row, "non_parseable", f"not a number: {text!r}")
-            return None
-        if integer and not value.is_integer():
-            self.error(column, row, "type_mismatch", f"expected an integer: {text!r}")
-            return None
-        if minimum is not None and value < minimum:
-            self.error(column, row, "out_of_range", f"value {value} below {minimum}")
-            return None
-        self.numeric.setdefault(column, []).append((row, value))
-        return value
+                if not text and required:
+                    raise _BadCell("missing_value", "cell is empty")
+                if memo is None:
+                    value = parse(text)
+                elif (value := memo.get(text)) is None:
+                    value = memo[text] = parse(text)
+                if minimum is not None and value < minimum:
+                    raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
+            except _BadCell as bad:
+                found.append(Finding(name, line, bad.args[0], "error", bad.args[1]))
+            else:
+                values[i] = value
+        if key and values[key[0]] is not None:
+            first = seen.setdefault(key_of(row), line)
+            if first != line:
+                repeat = spec.duplicate.format(*[row[i] for i in key])
+                message = f"{repeat} (first at line {first})"
+                found.append(Finding(spec.unique[0], line, "duplicate", "error", message))
+        if increasing is not None and (value := values[increasing]) is not None:
+            if last_increasing is not None and value <= last_increasing:
+                message = f"{value} not after {last_increasing}"
+                found.append(Finding(spec.increasing, line, "ordering", "error", message))
+            last_increasing = value
+        if contiguous is not None and (value := values[contiguous]) is not None:
+            if last_contiguous is not None and value - last_contiguous != 1:
+                message = f"{value} does not immediately follow {last_contiguous}"
+                found.append(Finding(spec.contiguous, line, "gap", "error", message))
+            last_contiguous = value
+        if saturdays is not None and (value := values[saturdays]) is not None:
+            if value.weekday() != 5:
+                message = f"{value} is not a Saturday"
+                found.append(Finding(spec.saturdays, line, "convention", "warning", message))
+        yield line, values, found
+    if spec.needs_rows and not rows:
+        yield 1, None, [Finding("<file>", 1, "no_data", "error", "no data rows")]
 
-    def flag_outliers(self) -> None:
-        """Robust z-score pass: |value - median| / MAD above the threshold."""
-        for column, pairs in self.numeric.items():
-            values = np.array([v for _, v in pairs])
-            median = float(np.median(values))
-            deviations = np.abs(values - median)
-            mad = float(np.median(deviations))
-            for (row, value), deviation in zip(pairs, deviations):
-                # with zero MAD any deviation is infinitely many MADs out
-                z = deviation / mad if mad > 0 else (np.inf if deviation > 0 else 0.0)
-                if z > OUTLIER_MAD_THRESHOLD:
-                    self.warn(
-                        column,
-                        row,
-                        "outlier",
-                        f"value {value} is {z:.1f} MADs from the median {median}",
-                    )
+
+def _outliers(numeric: dict[str, list[tuple[int, float]]]) -> list[Finding]:
+    """Robust z-score pass: |value - median| / MAD above the threshold."""
+    found = []
+    for column, pairs in numeric.items():
+        values = np.array([v for _, v in pairs])
+        median = float(np.median(values))
+        deviations = np.abs(values - median)
+        mad = float(np.median(deviations))
+        for (row, value), deviation in zip(pairs, deviations):
+            # with zero MAD any deviation is infinitely many MADs out
+            z = deviation / mad if mad > 0 else (np.inf if deviation > 0 else 0.0)
+            if z > OUTLIER_MAD_THRESHOLD:
+                message = f"value {value} is {z:.1f} MADs from the median {median}"
+                found.append(Finding(column, row, "outlier", "warning", message))
+    return found
 
 
 def validate(path, schema: str) -> ValidationReport:
     """Check one CSV file against a named schema; never raises on content.
 
-    Missing and unparseable cells are errors; outliers (more than five MADs
-    from the column median) are warnings; violated file invariants
-    (duplicates, ordering, gaps) are errors. Idempotent and
-    side-effect-free: the same file yields the same report.
+    Missing, unparseable, non-integer, non-finite and out-of-range cells
+    are errors, and so are violated file invariants (wrong field counts,
+    duplicates, ordering, gaps, no data rows); outliers (more than five
+    MADs from the column median) and off-Saturday weeks are warnings.
+    Idempotent and side-effect-free: the same file yields the same report.
     """
-    if schema not in SCHEMA_HEADERS:
-        raise ValueError(f"unknown schema {schema!r}; expected one of {sorted(SCHEMA_HEADERS)}")
-    header, rows = _read_rows(path)
-    expected = SCHEMA_HEADERS[schema]
-    col = _Collector()
-    if header != expected:
-        col.error(
-            "<header>",
-            1,
-            "header_mismatch",
-            f"expected {','.join(expected)!r}, got {','.join(header)!r}",
-        )
-        return ValidationReport(schema, str(path), tuple(col.findings))
-
-    seen_employer_months: dict[tuple[str, str], int] = {}
-    seen_weeks: dict[str, int] = {}
-    prev_week: dt.date | None = None
-    prev_month: MonthKey | None = None
-    for i, row in enumerate(rows):
-        line = i + 2
-        if len(row) != len(expected):
-            col.error("<row>", line, "field_count", f"expected {len(expected)} fields, got {len(row)}")
-            continue
-        cells = dict(zip(expected, row))
-
-        if schema == "employer":
-            col.cell("month", line, cells["month"], "month")
-            col.cell("active_employees", line, cells["active_employees"], "int", minimum=0, integer=True)
-            if not cells["employer_id"].strip():
-                col.error("employer_id", line, "missing_value", "cell is empty")
-            else:
-                key = (cells["employer_id"].strip(), cells["month"].strip())
-                if key in seen_employer_months:
-                    col.error(
-                        "employer_id",
-                        line,
-                        "duplicate",
-                        f"employer {key[0]!r} repeated for {key[1]} (first at line {seen_employer_months[key]})",
-                    )
-                else:
-                    seen_employer_months[key] = line
-
-        elif schema == "storm":
-            col.cell("begin_date", line, cells["begin_date"], "date")
-            col.cell("injuries", line, cells["injuries"], "int", minimum=0, integer=True)
-            col.cell("damage_usd", line, cells["damage_usd"], "float", minimum=0)
-
-        elif schema == "claims":
-            col.cell("week_ending", line, cells["week_ending"], "date")
-            col.cell("initial_claims", line, cells["initial_claims"], "int", minimum=0, integer=True)
-            col.cell("continued_claims", line, cells["continued_claims"], "int", minimum=0, integer=True)
-            text = cells["week_ending"].strip()
-            try:
-                week = _parse_date(text)
-            except ValueError:
-                week = None
-            if week is not None:
-                if text in seen_weeks:
-                    col.error("week_ending", line, "duplicate", f"week {text} repeated (first at line {seen_weeks[text]})")
-                else:
-                    seen_weeks[text] = line
-                if prev_week is not None and week <= prev_week:
-                    col.error("week_ending", line, "ordering", f"{week} not after {prev_week}")
-                if week.weekday() != 5:
-                    col.warn("week_ending", line, "convention", f"{week} is not a Saturday")
-                prev_week = week
-
-        elif schema == "monthly-series":
-            col.cell("value", line, cells["value"], "float")
-            try:
-                month = MonthKey.parse(cells["month"])
-            except ValueError:
-                month = None
-                col.error("month", line, "non_parseable", f"not a YYYY-MM month: {cells['month']!r}")
-            if month is not None:
-                if prev_month is not None and month - prev_month != 1:
-                    col.error("month", line, "gap", f"{month} does not immediately follow {prev_month}")
-                prev_month = month
-
-    col.flag_outliers()
-    return ValidationReport(schema, str(path), tuple(col.findings))
+    if schema not in SCHEMAS:
+        raise ValueError(f"unknown schema {schema!r}; expected one of {sorted(SCHEMAS)}")
+    spec = SCHEMAS[schema]
+    watched = [(c.name, spec.header.index(c.name)) for c in spec.columns if c.outliers]
+    findings: list[Finding] = []
+    numeric: dict[str, list[tuple[int, float]]] = {}
+    for line, values, found in _scan(path, spec):
+        findings += found
+        for name, i in watched if values else ():
+            if values[i] is not None:
+                numeric.setdefault(name, []).append((line, float(values[i])))
+    findings += _outliers(numeric)
+    return ValidationReport(schema, str(path), tuple(findings))
 
 
-def read_employer_csv(path) -> list[EmployerRecord]:
-    header, rows = _read_rows(path)
-    _require_header(path, header, "employer")
+def _read(path, spec: Schema) -> list:
+    """Every row of a file as ``spec.record``; raises on the scan's first error."""
     records = []
-    for i, row in enumerate(rows):
-        employer_id, month, active, sector, size_band = _fields(path, i, row, 5)
-        records.append(
-            EmployerRecord(
-                employer_id=employer_id.strip(),
-                month=MonthKey.parse(month),
-                active_employees=_strict_count(path, i, active),
-                sector=sector.strip(),
-                size_band=size_band.strip(),
-            )
-        )
+    for _, values, found in _scan(path, spec):
+        for f in found:
+            if f.severity == "error":
+                raise MalformedFileError(f"{path}:{f.row}: {f.column}: {f.message}")
+        records.append(spec.record(*values))
     return records
 
 
+def read_employer_csv(path) -> list[EmployerRecord]:
+    return _read(path, SCHEMAS["employer"])
+
+
 def read_storm_csv(path) -> list[StormEvent]:
-    header, rows = _read_rows(path)
-    _require_header(path, header, "storm")
-    events = []
-    for i, row in enumerate(rows):
-        state, event_type, begin, injuries, damage = _fields(path, i, row, 5)
-        events.append(
-            StormEvent(
-                state=state.strip(),
-                event_type=event_type.strip(),
-                begin_date=_parse_date(begin),
-                injuries=_strict_count(path, i, injuries),
-                damage_usd=float(damage),
-            )
-        )
-    return events
+    return _read(path, SCHEMAS["storm"])
 
 
 def read_claims_csv(path) -> list[WeeklyClaims]:
-    header, rows = _read_rows(path)
-    _require_header(path, header, "claims")
-    claims = []
-    for i, row in enumerate(rows):
-        week, initial, continued = _fields(path, i, row, 3)
-        claims.append(
-            WeeklyClaims(
-                week_ending=_parse_date(week),
-                initial_claims=_strict_count(path, i, initial),
-                continued_claims=_strict_count(path, i, continued),
-            )
-        )
-    return claims
+    return _read(path, SCHEMAS["claims"])
 
 
 def read_monthly_series_csv(path, name: str | None = None, units: str = "") -> MonthlySeries:
     """Read a ``month,value`` file into a series (name defaults to the file stem)."""
-    header, rows = _read_rows(path)
-    _require_header(path, header, "monthly-series")
-    if not rows:
-        raise ValueError(f"{path} has no data rows")
-    months = []
-    values = []
-    for i, row in enumerate(rows):
-        month, value = _fields(path, i, row, 2)
-        months.append(MonthKey.parse(month))
-        values.append(float(value))
-    for prev, cur in zip(months, months[1:]):
-        if cur - prev != 1:
-            raise ValueError(f"{path}: months not contiguous between {prev} and {cur}")
+    rows = _read(path, SCHEMAS["monthly-series"])
     return MonthlySeries(
-        months[0], np.array(values), name=name or Path(path).stem, units=units
+        rows[0].month, np.array([r.value for r in rows]), name=name or Path(path).stem, units=units
     )
 
 
@@ -383,24 +392,6 @@ def write_monthly_series_csv(series: MonthlySeries, path) -> None:
         writer.writerow(["month", "value"])
         for month, value in zip(series.months(), series.values):
             writer.writerow([str(month), float(value)])
-
-
-def _require_header(path, header: list[str], schema: str) -> None:
-    if header != SCHEMA_HEADERS[schema]:
-        raise ValueError(f"{path}: expected header {SCHEMA_HEADERS[schema]}, got {header}")
-
-
-def _fields(path, i: int, row: list[str], n: int) -> list[str]:
-    if len(row) != n:
-        raise ValueError(f"{path} line {i + 2}: expected {n} fields, got {len(row)}")
-    return row
-
-
-def _strict_count(path, i: int, text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{path} line {i + 2}: negative count {value}")
-    return value
 
 
 def matched_panel_aggregate(records: Sequence[EmployerRecord]) -> MonthlySeries:

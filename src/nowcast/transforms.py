@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnchorMismatchError, TooShortError
+from .errors import AnchorMismatchError, ColumnClashError, TooShortError
 from .ledger import (
     FirstDifference,
     MonthOneHot,
@@ -169,6 +169,8 @@ def apply_pipeline(table: FeatureTable, approach: Approach | str) -> FeatureTabl
         if step.lag:
             series = [_difference(s, step.lag) for s in series]
         else:  # month one-hot: twelve indicator columns, data unchanged
+            if clash := [s.name for s in series if s.name in ONE_HOT_COLUMNS]:
+                raise ColumnClashError(f"input column {clash[0]!r} is named like a month indicator")
             rows = np.array([one_hot_month(mk).components for mk in series[0].months()])
             series += [
                 MonthlySeries(series[0].start, rows[:, j], col)

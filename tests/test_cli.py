@@ -32,6 +32,14 @@ class TestValidateCommand:
         doc = json.loads(out)
         assert doc["passed"] is False and doc["findings"]
 
+    def test_integer_column_with_a_decimal_point_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "claims.csv"
+        path.write_text(CLEAN_CLAIMS.replace("210000", "3.0"))
+        code, out, _ = run(["validate", str(path), "--schema", "claims"], capsys)
+        assert code == 1
+        [finding] = json.loads(out)["findings"]
+        assert (finding["row"], finding["kind"]) == (3, "type_mismatch")
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, err = run(
             ["validate", str(tmp_path / "nope.csv"), "--schema", "claims"], capsys
@@ -165,6 +173,22 @@ class TestBacktestCommand:
         code, _, err = run(args, capsys)
         assert code == 1
         assert "common months" in err
+
+    def test_malformed_target_exits_one_naming_file_and_line(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "target.csv").read_text().splitlines(keepends=True)
+        lines[2] = lines[2].split(",")[0] + ",n/a\n"
+        (synth_dir / "target.csv").write_text("".join(lines))
+        code, _, err = run(backtest_args(synth_dir, tmp_path / "x"), capsys)
+        assert code == 1
+        assert "target.csv:3: value: not a number" in err
+
+    def test_feature_named_like_a_month_indicator_exits_one(self, synth_dir, tmp_path, capsys):
+        (synth_dir / "month_03.csv").write_bytes((synth_dir / "feature_02.csv").read_bytes())
+        args = backtest_args(synth_dir, tmp_path / "x")
+        args[args.index(str(synth_dir / "feature_02.csv"))] = str(synth_dir / "month_03.csv")
+        code, _, err = run(args, capsys)
+        assert code == 1
+        assert "month_03" in err
 
     def test_noise_free_approach_a_reports_null_transformed_r2(self, tmp_path, capsys):
         # without noise the doubly differenced target is constant, so its

@@ -5,9 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nowcast.errors import EmptyInputError, TooShortError, UnreadableFileError
+from nowcast.errors import (
+    EmptyInputError,
+    MalformedFileError,
+    NowcastError,
+    TooShortError,
+    UnreadableFileError,
+)
 from nowcast.ingest import (
+    SCHEMAS,
     EmployerRecord,
     StormEvent,
     WeeklyClaims,
@@ -168,6 +177,100 @@ class TestReaders:
         )
         with pytest.raises(ValueError):
             read_claims_csv(path)
+
+
+READERS = {
+    "employer": read_employer_csv,
+    "storm": read_storm_csv,
+    "claims": read_claims_csv,
+    "monthly-series": read_monthly_series_csv,
+}
+
+STORM_HEADER = "state,event_type,begin_date,injuries,damage_usd\n"
+EMPLOYER_HEADER = "employer_id,month,active_employees,sector,size_band\n"
+CLAIMS_HEADER = "week_ending,initial_claims,continued_claims\n"
+
+# on each of these files validate and the strict reader once disagreed
+DISAGREEMENTS = [
+    ("claims", CLEAN_CLAIMS.replace("210000", "3.0"), 3, "initial_claims", "type_mismatch"),
+    ("storm", STORM_HEADER + "TX,hail,2017-09-02,1e2,5\n", 2, "injuries", "type_mismatch"),
+    ("monthly-series", "month,value\n2020-01,1\n2020-02,nan\n", 3, "value", "non_finite"),
+    ("monthly-series", "month,value\n2020-01,inf\n2020-02,1\n", 2, "value", "non_finite"),
+    ("monthly-series", "month,value\n", 1, "<file>", "no_data"),
+    ("storm", STORM_HEADER + "TX,hail,2017-09-02,0,-5\n", 2, "damage_usd", "out_of_range"),
+    ("employer", EMPLOYER_HEADER + ",2021-01,10,s,a\n", 2, "employer_id", "missing_value"),
+    ("employer", EMPLOYER_HEADER + "X,2021-01,10,s,a\nX,2021-01,12,s,a\n", 3, "employer_id", "duplicate"),
+    ("claims", CLAIMS_HEADER + "2017-01-14,1,1\n2017-01-07,1,1\n", 3, "week_ending", "ordering"),
+]
+
+
+@pytest.mark.parametrize("schema,text,row,column,kind", DISAGREEMENTS)
+def test_validate_and_reader_agree_on_former_disagreements(tmp_path, schema, text, row, column, kind):
+    path = write(tmp_path, "f.csv", text)
+    report = validate(path, schema)
+    first = next(f for f in report.findings if f.severity == "error")
+    assert (first.row, first.column, first.kind) == (row, column, kind)
+    with pytest.raises(MalformedFileError) as raised:
+        READERS[schema](path)
+    assert str(raised.value).startswith(f"{path}:{row}: {column}: ")
+
+
+CELL_DEFECTS = [
+    "", "  ", "abc", "-3", "3.0", "1e2", "12.5", "nan", "inf", "-inf", " 7 ", "1_000",
+    "9" * 30, "2021-13", "2021/01", "2017-02-30", "2017-01-13",
+]
+
+
+def good_row(schema: str, i: int, n: int) -> list[str]:
+    """Row ``i`` of a file that passes: unique keys, consecutive weeks and months."""
+    if schema == "employer":
+        return [f"E{i % 3}", str(MonthKey(2021, 1).shift(i // 3)), str(n), "retail", "1-9"]
+    if schema == "storm":
+        return ["TX", "Hail", str(dt.date(2017, 1, 1) + dt.timedelta(days=i)), str(n % 7), f"{n}.25"]
+    if schema == "claims":
+        return [str(dt.date(2017, 1, 7) + dt.timedelta(weeks=i)), str(n), str(n + 1)]
+    return [str(MonthKey(2019, 12).shift(i)), f"{n / 4}"]
+
+
+@st.composite
+def csv_files(draw):
+    """A schema and a file mixing good rows with cell, row and file defects."""
+    schema = draw(st.sampled_from(sorted(SCHEMAS)))
+    rows: list[list[str]] = []
+    for i in range(draw(st.integers(0, 7))):
+        row = good_row(schema, i, draw(st.integers(0, 40)))
+        defect = draw(st.sampled_from(["none"] * 6 + ["cell", "fields", "repeat", "swap", "skip"]))
+        if defect == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(CELL_DEFECTS))
+        elif defect == "fields":
+            row = row[:-1] if draw(st.booleans()) else row + ["x"]
+        elif defect == "repeat" and rows:
+            row = list(rows[-1])
+        elif defect == "swap" and rows:
+            rows[-1], row = row, rows[-1]
+        elif defect == "skip":
+            continue
+        rows.append(row)
+    header = ",".join(SCHEMAS[schema].header)
+    return schema, "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files())
+def test_a_file_reads_exactly_when_it_validates(tmp_path_factory, case):
+    schema, text = case
+    path = tmp_path_factory.mktemp("agree") / f"{schema}.csv"
+    path.write_text(text)
+    report = validate(path, schema)
+    try:
+        READERS[schema](path)
+    except NowcastError as exc:
+        assert isinstance(exc, MalformedFileError) and isinstance(exc, ValueError)
+        assert not report.passed
+        first = next(f for f in report.findings if f.severity == "error")
+        assert str(exc).startswith(f"{path}:{first.row}:")
+    else:
+        assert report.passed
 
 
 class TestMatchedPanel:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nowcast.errors import AnchorMismatchError, TooShortError
+from nowcast.errors import AnchorMismatchError, ColumnClashError, NowcastError, TooShortError
 from nowcast.ledger import FirstDifference, MonthOneHot, SeasonalDifference
 from nowcast.timeseries import FeatureTable, MonthKey, MonthlySeries
 from nowcast.transforms import (
@@ -199,6 +199,16 @@ class TestApplyPipeline:
         out = apply_pipeline(level_table(30), "B")
         with pytest.raises(ValueError):
             apply_pipeline(out, "B")
+
+    def test_feature_named_like_a_month_indicator_is_refused(self):
+        table = level_table(20)
+        columns = dict(table.columns)
+        columns["month_03"] = columns.pop("f0")
+        clashing = FeatureTable(table.months, columns, target="target")
+        with pytest.raises(ColumnClashError, match="month_03") as raised:
+            apply_pipeline(clashing, "B")
+        assert isinstance(raised.value, ValueError) and isinstance(raised.value, NowcastError)
+        assert len(apply_pipeline(clashing, "A").column_names) == 3
 
 
 def assert_same_bits(a, b):
