@@ -37,8 +37,8 @@ for name, value in sorted(feature_importances(model).items(), key=lambda kv: -kv
 train_r2 = r_squared(table.target_values(), predict(model, table))
 print(f"\nin-sample R^2: {train_r2:.4f}")
 
-# same seed, same data: a bit-identical model (n_threads is ignored)
-again = fit(table, params, n_threads=8)
+# same seed, same data: a bit-identical model
+again = fit(table, params)
 print("refit identical:", model.to_json() == again.to_json())
 
 restored = ExtraTreesModel.from_json(model.to_json())

@@ -109,6 +109,10 @@ class PredictionRecord:
     actual_level: float
     train_rows_used: int
 
+    def to_dict(self) -> dict:
+        """Field name -> value in field order, with the month as ``YYYY-MM``."""
+        return dict(vars(self), month=str(self.month))
+
 
 CSV_COLUMNS = (
     "month",
@@ -118,6 +122,7 @@ CSV_COLUMNS = (
     "actual_transformed",
     "train_rows_used",
 )
+PLOT_COLUMNS = ("month", "actual_level", "predicted_level")
 
 
 @dataclass(frozen=True)
@@ -143,17 +148,7 @@ class BacktestReport:
                 "directional_accuracy": self.directional_accuracy,
                 "r_squared_transformed": self.r_squared_transformed,
             },
-            "predictions": [
-                {
-                    "month": str(r.month),
-                    "predicted_transformed": r.predicted_transformed,
-                    "actual_transformed": r.actual_transformed,
-                    "predicted_level": r.predicted_level,
-                    "actual_level": r.actual_level,
-                    "train_rows_used": r.train_rows_used,
-                }
-                for r in self.records
-            ],
+            "predictions": [r.to_dict() for r in self.records],
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -161,28 +156,19 @@ class BacktestReport:
 
     def write_csv(self, path) -> None:
         """Flat per-month records."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.records:
-                writer.writerow(
-                    [
-                        str(r.month),
-                        r.predicted_level,
-                        r.actual_level,
-                        r.predicted_transformed,
-                        r.actual_transformed,
-                        r.train_rows_used,
-                    ]
-                )
+        self._write_columns(path, CSV_COLUMNS)
 
     def write_plot_csv(self, path) -> None:
         """Plot-ready actual-vs-predicted levels by month."""
+        self._write_columns(path, PLOT_COLUMNS)
+
+    def _write_columns(self, path, columns: tuple[str, ...]) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["month", "actual_level", "predicted_level"])
+            writer.writerow(columns)
             for r in self.records:
-                writer.writerow([str(r.month), r.actual_level, r.predicted_level])
+                row = r.to_dict()
+                writer.writerow([row[c] for c in columns])
 
 
 WindowHook = Callable[[MonthKey, tuple[MonthKey, ...]], None]

@@ -50,7 +50,7 @@ class DegenerateActualsError(NowcastError):
 
 
 class UnreadableFileError(NowcastError):
-    """A file could not be opened or decoded."""
+    """A file could not be opened, decoded or split into CSV fields."""
 
 
 class MalformedFileError(NowcastError, ValueError):

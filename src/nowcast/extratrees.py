@@ -7,9 +7,8 @@ over the node sample, and the candidate with the highest variance reduction
 wins (ties go to the earliest-drawn candidate). Predictions average the
 reached leaf values across trees.
 
-A fitted tree is a set of parallel node arrays (:class:`Tree`). The nested
-:class:`Leaf`/:class:`Split` form is only a view of those arrays: it is what
-:func:`grow_tree` returns and what the JSON model document encodes.
+A fitted tree is a set of parallel node arrays (:class:`Tree`); the JSON
+model document encodes each one as nested ``leaf``/``split`` objects.
 
 Determinism contract: all randomness flows from numpy's PCG64 bit
 generator. Tree ``i`` draws from ``PCG64(seed ^ i)``, and the trees are
@@ -62,27 +61,6 @@ class ExtraTreesParams:
             raise InvalidParamsError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Terminal node: predicts the mean target of its training rows."""
-
-    value: float
-    count: int
-
-
-@dataclass(frozen=True)
-class Split:
-    """Internal node: rows with feature < threshold go left, >= goes right."""
-
-    feature_index: int
-    threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Leaf | Split
-
-
 @dataclass(frozen=True, eq=False)
 class Tree:
     """One fitted tree as parallel node arrays, numbered in build order.
@@ -113,26 +91,6 @@ class Tree:
                 node = left[node] if x[feature[node]] < threshold[node] else right[node]
             out.append(value[node])
         return out
-
-    def view(self) -> TreeNode:
-        """The root of the nested :class:`Leaf`/:class:`Split` view."""
-        return _fold(self, Leaf, Split)
-
-
-def _fold(tree: Tree, leaf, split):
-    """Rebuild a tree bottom-up as nested ``leaf(value, count)`` and
-    ``split(feature, threshold, left, right)`` results; children come after
-    their parent in node order, so walking the nodes backwards suffices."""
-    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-    left, right = tree.left.tolist(), tree.right.tolist()
-    value, count = tree.value.tolist(), tree.count.tolist()
-    built = [None] * len(feature)
-    for i in reversed(range(len(feature))):
-        if feature[i] < 0:
-            built[i] = leaf(value[i], count[i])
-        else:
-            built[i] = split(feature[i], threshold[i], built[left[i]], built[right[i]])
-    return built[0]
 
 
 class _TreeBuilder:
@@ -221,25 +179,17 @@ def grow_tree(
     k_features: int,
     min_samples_split: int,
     sampler: RandomSplitSampler,
-    importance_acc: np.ndarray | None = None,
-) -> TreeNode:
-    """Build one extremely randomized tree over the full sample; return its
-    nested view.
+) -> Tree:
+    """Build one extremely randomized tree over the full sample.
 
     Nodes are expanded depth-first, left child before right child; the
     sampler is consulted once per node for the feature subset and once per
     candidate feature for its threshold, in that order. Tests rely on this
     visit order to replay recorded draws.
-
-    When ``importance_acc`` is given, each split adds its variance
-    reduction, weighted by the fraction of rows passing through the node,
-    to the winning feature's slot.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if importance_acc is None:
-        importance_acc = np.zeros(X.shape[1], dtype=np.float64)
-    return _build(X, y, k_features, min_samples_split, sampler, importance_acc).view()
+    return _build(X, y, k_features, min_samples_split, sampler, np.zeros(X.shape[1]))
 
 
 def _build(
@@ -250,7 +200,9 @@ def _build(
     sampler: RandomSplitSampler,
     acc: np.ndarray,
 ) -> Tree:
-    """Grow one tree over C-contiguous float64 ``X`` and ``y``.
+    """Grow one tree over C-contiguous float64 ``X`` and ``y``; each split
+    adds its variance reduction, weighted by the fraction of rows passing
+    through the node, to the winning feature's slot of ``acc``.
 
     ``order`` is a permutation of the row indices in which every node owns
     a contiguous run. A split partitions its run stably, so each node's rows
@@ -405,18 +357,25 @@ def feature_importances(model: ExtraTreesModel) -> dict[str, float]:
     return {name: float(v) for name, v in zip(model.feature_names, model.importances)}
 
 
-def _leaf_doc(value: float, count: int) -> dict:
-    return {"kind": "leaf", "value": value, "count": count}
-
-
-def _split_doc(feature: int, threshold: float, left: dict, right: dict) -> dict:
-    return {
-        "kind": "split",
-        "feature_index": feature,
-        "threshold": threshold,
-        "left": left,
-        "right": right,
-    }
+def _tree_to_dict(tree: Tree) -> dict:
+    """A tree's nested document. Children come after their parent in node
+    order, so walking the nodes backwards encodes each child first."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    value, count = tree.value.tolist(), tree.count.tolist()
+    docs = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        if feature[i] < 0:
+            docs[i] = {"kind": "leaf", "value": value[i], "count": count[i]}
+        else:
+            docs[i] = {
+                "kind": "split",
+                "feature_index": feature[i],
+                "threshold": threshold[i],
+                "left": docs[left[i]],
+                "right": docs[right[i]],
+            }
+    return docs[0]
 
 
 def model_to_dict(model: ExtraTreesModel) -> dict:
@@ -426,7 +385,7 @@ def model_to_dict(model: ExtraTreesModel) -> dict:
         "params": asdict(model.params),
         "feature_names": list(model.feature_names),
         "importances": [float(v) for v in model.importances],
-        "trees": [_fold(t, _leaf_doc, _split_doc) for t in model.trees],
+        "trees": [_tree_to_dict(t) for t in model.trees],
     }
 
 

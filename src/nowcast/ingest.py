@@ -245,7 +245,7 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise UnreadableFileError(f"{path} is empty (missing header)")
@@ -389,7 +389,7 @@ def read_monthly_series_csv(path, name: str | None = None, units: str = "") -> M
 def write_monthly_series_csv(series: MonthlySeries, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["month", "value"])
+        writer.writerow(SCHEMAS["monthly-series"].header)
         for month, value in zip(series.months(), series.values):
             writer.writerow([str(month), float(value)])
 

@@ -105,20 +105,30 @@ def reference_grow(rows, targets, min_samples_split, trace):
     return ("split", j, threshold, left, right)
 
 
-def assert_trees_equal(node, ref):
-    """Exact structural comparison of a production tree and a reference tree."""
-    from nowcast.extratrees import Leaf, Split
+def assert_trees_equal(tree, ref):
+    """Exact structural comparison of a production tree and a reference tree.
 
-    if isinstance(node, Leaf):
-        kind, value, count = ref
-        assert kind == "leaf", f"production leaf where reference has {kind}"
-        assert node.value == value, f"leaf value {node.value!r} != {value!r}"
-        assert node.count == count
-        return
-    assert isinstance(node, Split)
-    kind, feature, threshold, left, right = ref
-    assert kind == "split", f"production split where reference has {kind}"
-    assert node.feature_index == feature
-    assert node.threshold == threshold
-    assert_trees_equal(node.left, left)
-    assert_trees_equal(node.right, right)
+    Walks the production node arrays from the root (node 0) alongside the
+    reference's nested tuples; the walk must reach every node in the arrays.
+    """
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    value, count = tree.value.tolist(), tree.count.tolist()
+    reached = set()
+    pending = [(0, ref)]
+    while pending:
+        node, expected = pending.pop()
+        reached.add(node)
+        if feature[node] < 0:
+            kind, ref_value, ref_count = expected
+            assert kind == "leaf", f"production leaf where reference has {kind}"
+            assert value[node] == ref_value, f"leaf value {value[node]!r} != {ref_value!r}"
+            assert count[node] == ref_count
+            continue
+        kind, ref_feature, ref_threshold, ref_left, ref_right = expected
+        assert kind == "split", f"production split where reference has {kind}"
+        assert feature[node] == ref_feature
+        assert threshold[node] == ref_threshold
+        pending += [(right[node], ref_right), (left[node], ref_left)]
+    all_nodes = set(range(len(feature)))
+    assert reached == all_nodes, f"the walk misses nodes {sorted(all_nodes - reached)}"

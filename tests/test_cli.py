@@ -40,6 +40,14 @@ class TestValidateCommand:
         [finding] = json.loads(out)["findings"]
         assert (finding["row"], finding["kind"]) == (3, "type_mismatch")
 
+    def test_oversized_cell_exits_two_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text(f"month,value\n2020-01,{'9' * 200_000}\n")
+        code, out, err = run(["validate", str(path), "--schema", "monthly-series"], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: cannot read {path}: field larger than field limit")
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, err = run(
             ["validate", str(tmp_path / "nope.csv"), "--schema", "claims"], capsys
@@ -181,6 +189,16 @@ class TestBacktestCommand:
         code, _, err = run(backtest_args(synth_dir, tmp_path / "x"), capsys)
         assert code == 1
         assert "target.csv:3: value: not a number" in err
+
+    def test_oversized_cell_in_target_exits_two_naming_the_file(self, synth_dir, tmp_path, capsys):
+        target = synth_dir / "target.csv"
+        lines = target.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].split(",")[0] + "," + "9" * 200_000 + "\n"
+        target.write_text("".join(lines))
+        code, _, err = run(backtest_args(synth_dir, tmp_path / "x"), capsys)
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith(f"error: cannot read {target}: field larger than field limit")
 
     def test_feature_named_like_a_month_indicator_exits_one(self, synth_dir, tmp_path, capsys):
         (synth_dir / "month_03.csv").write_bytes((synth_dir / "feature_02.csv").read_bytes())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nowcast import extratrees
 from nowcast.errors import (
     InvalidModelError,
     InvalidParamsError,
@@ -16,9 +17,7 @@ from nowcast.errors import (
 from nowcast.extratrees import (
     ExtraTreesModel,
     ExtraTreesParams,
-    Leaf,
     RandomSplitSampler,
-    Split,
     feature_importances,
     fit,
     grow_tree,
@@ -36,11 +35,6 @@ def table_from_arrays(columns, target="y", start=MonthKey(2018, 1)):
     months = tuple(start.shift(i) for i in range(n))
     cols = {k: np.asarray(v, dtype=float) for k, v in columns.items()}
     return FeatureTable(months, cols, target=target)
-
-
-def views(model):
-    """Nested Leaf/Split view of every tree in a fitted model."""
-    return [tree.view() for tree in model.trees]
 
 
 def random_table(n_rows, n_features, seed):
@@ -79,19 +73,21 @@ class TestFit:
     def test_constant_targets_give_single_leaves(self):
         table = table_from_arrays({"f0": [1.0, 2.0, 3.0, 4.0], "y": [7.0] * 4})
         model = fit(table, ExtraTreesParams(n_trees=5, seed=3), n_threads=1)
-        assert all(isinstance(t, Leaf) and t.value == 7.0 for t in views(model))
+        # every tree is one node, a leaf
+        assert all(t.feature.tolist() == [-1] and t.value.tolist() == [7.0] for t in model.trees)
         np.testing.assert_array_equal(predict(model, table), np.full(4, 7.0))
 
     def test_two_separable_rows_memorized_exactly(self):
         table = table_from_arrays({"f0": [1.0, 2.0], "y": [3.0, 9.0]})
         params = ExtraTreesParams(n_trees=10, min_samples_split=2, seed=5)
         model = fit(table, params, n_threads=1)
-        for tree in views(model):
-            assert isinstance(tree, Split)
-            assert 1.0 < tree.threshold < 2.0
-            assert isinstance(tree.left, Leaf) and isinstance(tree.right, Leaf)
-            assert (tree.left.value, tree.right.value) == (3.0, 9.0)
-            assert (tree.left.count, tree.right.count) == (1, 1)
+        for tree in model.trees:
+            # a root split over two leaves
+            assert tree.feature.tolist() == [0, -1, -1]
+            assert 1.0 < tree.threshold[0] < 2.0
+            left, right = tree.left[0], tree.right[0]
+            assert (tree.value[left], tree.value[right]) == (3.0, 9.0)
+            assert (tree.count[left], tree.count[right]) == (1, 1)
         np.testing.assert_array_equal(predict(model, table), [3.0, 9.0])
 
     def test_requires_target_and_rows(self):
@@ -112,25 +108,25 @@ class TestFit:
         )
 
 
-def leaf_counts_by_routing(node, X):
-    """Routed row count per leaf, walking like the production predictor."""
-    if isinstance(node, Leaf):
+def leaf_counts_by_routing(tree, X, node=0):
+    """Routed row count per leaf node, walking like the production predictor."""
+    if tree.feature[node] < 0:
         return [(node, X.shape[0])]
-    mask = X[:, node.feature_index] < node.threshold
-    return leaf_counts_by_routing(node.left, X[mask]) + leaf_counts_by_routing(
-        node.right, X[~mask]
+    mask = X[:, tree.feature[node]] < tree.threshold[node]
+    return leaf_counts_by_routing(tree, X[mask], tree.left[node]) + leaf_counts_by_routing(
+        tree, X[~mask], tree.right[node]
     )
 
 
-def check_thresholds_inside(node, X):
-    if isinstance(node, Leaf):
+def check_thresholds_inside(tree, X, node=0):
+    if tree.feature[node] < 0:
         return
-    col = X[:, node.feature_index]
-    assert col.min() < node.threshold < col.max()
-    mask = col < node.threshold
+    col = X[:, tree.feature[node]]
+    assert col.min() < tree.threshold[node] < col.max()
+    mask = col < tree.threshold[node]
     assert mask.any() and (~mask).any()
-    check_thresholds_inside(node.left, X[mask])
-    check_thresholds_inside(node.right, X[~mask])
+    check_thresholds_inside(tree, X[mask], tree.left[node])
+    check_thresholds_inside(tree, X[~mask], tree.right[node])
 
 
 class TestTreeStructure:
@@ -140,16 +136,16 @@ class TestTreeStructure:
         table = random_table(40, 3, seed=21)
         model = fit(table, ExtraTreesParams(n_trees=20, seed=21), n_threads=1)
         X = table.matrix(model.feature_names)
-        for tree in views(model):
+        for tree in model.trees:
             routed = leaf_counts_by_routing(tree, X)
             assert sum(n for _, n in routed) == 40
-            assert all(leaf.count == n for leaf, n in routed)
+            assert all(tree.count[leaf] == n for leaf, n in routed)
 
     def test_thresholds_strictly_inside_node_ranges(self):
         table = random_table(60, 4, seed=22)
         model = fit(table, ExtraTreesParams(n_trees=10, seed=22), n_threads=1)
         X = table.matrix(model.feature_names)
-        for tree in views(model):
+        for tree in model.trees:
             check_thresholds_inside(tree, X)
 
     def test_predictions_within_training_target_range(self):
@@ -329,11 +325,11 @@ class TestSampler:
         assert sampler.rng.bit_generator.state == scalar.bit_generator.state
 
 
-def route_view(node, x):
-    """Leaf value reached by row ``x`` in a nested Leaf/Split tree."""
-    while isinstance(node, Split):
-        node = node.left if x[node.feature_index] < node.threshold else node.right
-    return node.value
+def route_document(node, x):
+    """Leaf value reached by row ``x`` in a tree's nested model document."""
+    while node["kind"] == "split":
+        node = node["left"] if x[node["feature_index"]] < node["threshold"] else node["right"]
+    return node["value"]
 
 
 def document_nodes(doc):
@@ -382,17 +378,17 @@ class TestArrayEngine:
         probes = table_from_arrays(
             {**dict(zip(model.feature_names, X.T)), "y": np.zeros(len(X))}
         )
+        # a nested walk of the model document, independent of Tree.leaf_values
+        doc = model_to_dict(model)
         routed = np.zeros(len(X))
-        for tree in model.trees:
-            view = tree.view()
-            routed += [route_view(view, x) for x in X.tolist()]
+        for tree_doc in doc["trees"]:
+            routed += [route_document(tree_doc, x) for x in X.tolist()]
         predicted = predict(model, probes)
         assert predicted.tobytes() == (routed / n_trees).tobytes()
         for i, month in enumerate(probes.months):
             one_row = predict(model, probes.slice(month, month))
             assert one_row.tobytes() == predicted[i : i + 1].tobytes()
 
-        doc = model_to_dict(model)
         assert sum(t.feature.size for t in model.trees) == sum(
             document_nodes(t) for t in doc["trees"]
         )
@@ -416,3 +412,49 @@ class TestOracleEquivalence:
             ref = reference_grow(X.tolist(), y.tolist(), 2, trace)
             assert_trees_equal(tree, ref)
             assert trace.exhausted()
+
+
+def step_table():
+    """Repeated values and a constant column, so nodes go constant early."""
+    rng = np.random.default_rng(2020)
+    n = 40
+    cols = {f"f{i}": rng.normal(size=n) for i in range(3)}
+    cols["step"] = np.repeat([0.0, 1.0, 2.0, 3.0], n // 4)
+    cols["flat"] = np.full(n, 5.0)
+    cols["y"] = cols["f0"] * 3.0 + cols["step"] + rng.normal(scale=0.1, size=n)
+    return table_from_arrays(cols)
+
+
+class TestGrowTreeMatchesFit:
+    @pytest.mark.parametrize(
+        "table",
+        [random_table(30, 3, seed=81), random_table(64, 6, seed=82), step_table()],
+        ids=["random-3", "random-6", "steps"],
+    )
+    @pytest.mark.parametrize("min_split", [2, 5])
+    @pytest.mark.parametrize("k", [1, 2, None])
+    def test_same_arrays_and_generator_state(self, table, min_split, k, monkeypatch):
+        # fit's tree 0 draws from PCG64(seed ^ 0); grow_tree on the same
+        # table and a sampler on that generator must build it bit for bit
+        made = []
+
+        class Recorded(RandomSplitSampler):
+            def __init__(self, rng):
+                super().__init__(rng)
+                made.append(self)
+
+        monkeypatch.setattr(extratrees, "RandomSplitSampler", Recorded)
+        for seed in (0, 83, 2**64 - 1):
+            made.clear()
+            params = ExtraTreesParams(
+                n_trees=1, k_features=k, min_samples_split=min_split, seed=seed
+            )
+            [fitted] = fit(table, params).trees
+            X = table.matrix(table.feature_names)
+            sampler = RandomSplitSampler(np.random.Generator(np.random.PCG64(seed ^ 0)))
+            grown = grow_tree(X, table.target_values(), k or X.shape[1], min_split, sampler)
+            for name in ("feature", "threshold", "left", "right", "value", "count"):
+                ours, theirs = getattr(fitted, name), getattr(grown, name)
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+            [used] = made
+            assert used.rng.bit_generator.state == sampler.rng.bit_generator.state

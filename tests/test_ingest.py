@@ -169,6 +169,14 @@ class TestReaders:
         with pytest.raises(ValueError):
             read_monthly_series_csv(path)
 
+    def test_oversized_field_is_unreadable(self, tmp_path):
+        # the csv module's field limit (131,072 characters) stays in force
+        path = write(tmp_path, "s.csv", f"month,value\n2020-01,{'9' * 200_000}\n")
+        for read in (read_monthly_series_csv, lambda p: validate(p, "monthly-series")):
+            with pytest.raises(UnreadableFileError, match="field larger than field limit") as info:
+                read(path)
+            assert str(info.value).startswith(f"cannot read {path}: ")
+
     def test_bad_row_raises_with_line_number(self, tmp_path):
         path = write(
             tmp_path,
