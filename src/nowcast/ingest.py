@@ -85,9 +85,11 @@ def _month(text: str) -> MonthKey:
 
 def _date(text: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        if (value := dt.date.fromisoformat(text)).isoformat() == text:  # not 20200104, 2020-W02-6
+            return value
     except ValueError:
-        raise _BadCell("non_parseable", f"not a YYYY-MM-DD date: {text!r}") from None
+        pass
+    raise _BadCell("non_parseable", f"not a YYYY-MM-DD date: {text!r}")
 
 
 def _integer(text: str) -> int:

@@ -3,6 +3,8 @@
 All types are immutable after construction and therefore safe to share
 across threads. Values are 64-bit floats throughout; gaps in a monthly
 index are construction-time errors, never silently interpolated.
+A slice, window or ``with_target`` of a valid object is not validated again:
+its arrays are read-only views that share memory with the parent's.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ class MonthKey:
 
     @classmethod
     def parse(cls, text: str) -> "MonthKey":
-        """Parse a ``YYYY-MM`` string."""
-        parts = text.strip().split("-")
-        if len(parts) != 2:
+        """Parse ``YYYY-MM`` in ASCII digits, surrounding whitespace allowed."""
+        s = text.strip()
+        if len(s) != 7 or s[4] != "-" or not (s[:4] + s[5:]).isdigit() or not s.isascii():
             raise ValueError(f"expected YYYY-MM, got {text!r}")
-        return cls(int(parts[0]), int(parts[1]))
+        return cls(int(s[:4]), int(s[5:]))
 
     def shift(self, months: int) -> "MonthKey":
         """The month ``months`` steps after this one (negative steps back)."""
@@ -57,6 +59,13 @@ class MonthKey:
         return f"{self.year:04d}-{self.month:02d}"
 
 
+def _trusted_replace(obj, **changes):
+    """``dataclasses.replace`` without ``__post_init__``, for changes that keep ``obj`` valid."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(vars(obj), **changes)
+    return new
+
+
 def _freeze(values: Iterable[float]) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -64,7 +73,7 @@ def _freeze(values: Iterable[float]) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("values contain NaN or infinite entries")
     arr.flags.writeable = False
-    return arr
+    return arr.view()  # a view of a read-only base can never be made writeable
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +117,11 @@ class MonthlySeries:
         return float(self.values[self.index_of(month)])
 
     def window(self, first: MonthKey, last: MonthKey) -> "MonthlySeries":
-        """Sub-series covering [first, last] inclusive."""
+        """Sub-series covering [first, last] inclusive, as a read-only view."""
         if first > last:
             raise OutOfRangeError(f"inverted window {first}..{last}")
         lo, hi = self.index_of(first), self.index_of(last)
-        return MonthlySeries(first, self.values[lo : hi + 1], self.name, self.units)
+        return _trusted_replace(self, start=first, values=self.values[lo : hi + 1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonthlySeries):
@@ -142,9 +151,12 @@ class FeatureTable:
         months = tuple(self.months)
         if not months:
             raise ValueError("a FeatureTable must cover at least one month")
-        for prev, cur in zip(months, months[1:]):
-            if cur - prev != 1:
-                raise ValueError(f"months must be contiguous; gap between {prev} and {cur}")
+        if not all(isinstance(m, MonthKey) for m in months):
+            raise ValueError("months must be MonthKey values")
+        gaps = np.flatnonzero(np.diff([m.year * 12 + m.month for m in months]) != 1)
+        if gaps.size:
+            prev, cur = months[gaps[0]], months[gaps[0] + 1]
+            raise ValueError(f"months must be contiguous; gap between {prev} and {cur}")
         if not self.columns:
             raise ValueError("a FeatureTable must have at least one column")
         frozen: dict[str, np.ndarray] = {}
@@ -196,21 +208,22 @@ class FeatureTable:
         return np.column_stack([self.columns[name] for name in names])
 
     def with_target(self, target: str) -> "FeatureTable":
-        """Same table with the target column set to ``target``."""
-        return FeatureTable(self.months, dict(self.columns), target, self.ledger)
+        """Same table, sharing its columns, with the target set to ``target``."""
+        if target is not None and target not in self.columns:
+            raise ValueError(f"target {target!r} is not a column")
+        return _trusted_replace(self, target=target)
 
     def slice(self, first: MonthKey, last: MonthKey) -> "FeatureTable":
-        """Rows restricted to [first, last] inclusive; ledger copied unchanged."""
+        """Rows restricted to [first, last] inclusive, as read-only views; same ledger."""
         if first > last:
             raise OutOfRangeError(f"inverted bounds {first}..{last}")
         if first < self.start or last > self.end:
             raise OutOfRangeError(
                 f"requested {first}..{last} outside table range {self.start}..{self.end}"
             )
-        lo = first - self.start
-        hi = last - self.start
-        cols = {name: arr[lo : hi + 1] for name, arr in self.columns.items()}
-        return FeatureTable(self.months[lo : hi + 1], cols, self.target, self.ledger)
+        rows = slice(first - self.start, last - self.start + 1)
+        cols = MappingProxyType({name: arr[rows] for name, arr in self.columns.items()})
+        return _trusted_replace(self, months=self.months[rows], columns=cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureTable):

@@ -21,7 +21,7 @@ from nowcast.errors import (
 )
 from nowcast.extratrees import ExtraTreesParams
 from nowcast.synth import SynthConfig, generate
-from nowcast.timeseries import FeatureTable, MonthKey, align
+from nowcast.timeseries import FeatureTable, MonthKey, MonthlySeries, align
 from nowcast.transforms import Approach
 
 
@@ -204,6 +204,28 @@ class TestRunBacktest:
         assert report.r_squared_transformed is None
         assert json.loads(report.to_json())["metrics"]["r_squared_transformed"] is None
         assert len(report.records) == 6
+
+
+@pytest.mark.parametrize("cls", [FeatureTable, MonthlySeries])
+def test_windows_are_not_revalidated(monkeypatch, cls):
+    """Validation runs as often for 30 windows as for 60: slices and
+    windows of a valid table are views, not re-checked copies."""
+    calls = []
+    validate = cls.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    config = BacktestConfig(13, Approach.MONTH_ONEHOT, ExtraTreesParams(n_trees=1))
+    counts = []
+    for windows in (30, 60):
+        table = linear_table(13 + windows)
+        calls.clear()
+        assert len(run_backtest(table, config).records) == windows
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def record_bits(record):

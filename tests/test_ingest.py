@@ -223,9 +223,34 @@ def test_validate_and_reader_agree_on_former_disagreements(tmp_path, schema, tex
     assert str(raised.value).startswith(f"{path}:{row}: {column}: ")
 
 
+# month and date cells that Python's int() or date.fromisoformat() take,
+# but that are not the documented YYYY-MM and YYYY-MM-DD
+NON_CANONICAL = [
+    ("monthly-series", "month,value\n2020-01,1\n2_020-02,2\n", 3, "month"),
+    ("monthly-series", "month,value\n2020-01,1\n2020-+2,2\n", 3, "month"),
+    ("monthly-series", "month,value\n2020-01,1\n2020-2,2\n", 3, "month"),
+    ("monthly-series", "month,value\n2020 - 01,1\n2020-02,2\n", 2, "month"),
+    ("monthly-series", "month,value\n\uff12\uff10\uff12\uff10-01,1\n", 2, "month"),
+    ("employer", EMPLOYER_HEADER + "X,+2021-01,10,s,a\n", 2, "month"),
+    ("claims", CLAIMS_HEADER + "20170107,1,1\n", 2, "week_ending"),
+    ("claims", CLAIMS_HEADER + "2017-01-07,1,1\n2017-W02-6,1,1\n", 3, "week_ending"),
+    ("storm", STORM_HEADER + "TX,hail,2017W356,1,5\n", 2, "begin_date"),
+]
+
+
+@pytest.mark.parametrize("schema,text,row,column", NON_CANONICAL)
+def test_only_documented_month_and_date_forms_are_read(tmp_path, schema, text, row, column):
+    path = write(tmp_path, "f.csv", text)
+    first = next(f for f in validate(path, schema).findings if f.severity == "error")
+    assert (first.row, first.column, first.kind) == (row, column, "non_parseable")
+    with pytest.raises(MalformedFileError) as raised:
+        READERS[schema](path)
+    assert str(raised.value).startswith(f"{path}:{row}: {column}: not a YYYY-MM")
+
+
 CELL_DEFECTS = [
     "", "  ", "abc", "-3", "3.0", "1e2", "12.5", "nan", "inf", "-inf", " 7 ", "1_000",
-    "9" * 30, "2021-13", "2021/01", "2017-02-30", "2017-01-13",
+    "9" * 30, "2021-13", "2021/01", "2017-02-30", "2017-01-13", "2021-1", "20170107",
 ]
 
 

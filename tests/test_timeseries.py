@@ -2,13 +2,37 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nowcast.errors import EmptyIntersectionError, NonFiniteError, OutOfRangeError
 from nowcast.timeseries import FeatureTable, MonthKey, MonthlySeries, align
+from nowcast.transforms import Approach
 
 
 def series(start, values, name="s", units=""):
     return MonthlySeries(start, np.array(values, dtype=float), name, units)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bounds(draw, n):
+    """Row bounds ``lo <= hi`` inside ``n`` rows."""
+    lo = draw(st.integers(0, n - 1))
+    return lo, draw(st.integers(lo, n - 1))
+
+
+@st.composite
+def tables(draw):
+    """A valid table of 1-40 months, most crossing a year end, with 1-4 columns."""
+    n = draw(st.integers(1, 40))
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    start = MonthKey(2018, draw(st.integers(1, 12)))
+    months = tuple(start.shift(i) for i in range(n))
+    cols = {name: draw(arrays(np.float64, n, elements=finite)) for name in names}
+    target = draw(st.sampled_from([None, *names]))
+    return FeatureTable(months, cols, target, Approach("B").ledger)
 
 
 class TestMonthKey:
@@ -41,6 +65,18 @@ class TestMonthKey:
     def test_add_operator(self):
         assert MonthKey(2020, 1) + 12 == MonthKey(2021, 1)
 
+    def test_parse_strips_surrounding_whitespace(self):
+        assert MonthKey.parse(" 2020-01\t") == MonthKey(2020, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2_020-01", "2020-+2", "2020-3", "2020 - 01", "\uff12\uff10\uff12\uff10-01",
+         "2020-01-01", "20-01", "02020-1", "+2020-01", "", "2020-1a"],
+    )
+    def test_parse_takes_exactly_four_and_two_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="expected YYYY-MM"):
+            MonthKey.parse(text)
+
 
 class TestMonthlySeries:
     def test_end_and_months(self):
@@ -61,6 +97,8 @@ class TestMonthlySeries:
         s = series(MonthKey(2020, 1), [1, 2])
         with pytest.raises(ValueError):
             s.values[0] = 9.0
+        with pytest.raises(ValueError):
+            s.values.flags.writeable = True
 
     def test_value_at_and_out_of_range(self):
         s = series(MonthKey(2020, 1), [1, 2, 3])
@@ -72,6 +110,23 @@ class TestMonthlySeries:
         s = series(MonthKey(2020, 1), [1, 2, 3, 4])
         w = s.window(MonthKey(2020, 2), MonthKey(2020, 3))
         assert w == series(MonthKey(2020, 2), [2, 3])
+
+    @given(st.data())
+    def test_window_is_a_read_only_view_equal_to_a_validated_copy(self, data):
+        values = data.draw(arrays(np.float64, st.integers(1, 40), elements=finite))
+        s = MonthlySeries(MonthKey(2019, 11), values, "s", "u")
+        lo, hi = data.draw(bounds(len(s)))
+        w = s.window(s.start.shift(lo), s.start.shift(hi))
+        assert w == MonthlySeries(s.start.shift(lo), values[lo : hi + 1].copy(), "s", "u")
+        assert np.shares_memory(w.values, s.values)
+        with pytest.raises(ValueError):
+            w.values[0] = 1.0
+        with pytest.raises(ValueError):
+            w.values.flags.writeable = True
+        a, b = data.draw(bounds(len(w)))
+        assert w.window(w.start.shift(a), w.start.shift(b)) == s.window(
+            s.start.shift(lo + a), s.start.shift(lo + b)
+        )
 
 
 class TestAlign:
@@ -153,6 +208,62 @@ class TestFeatureTable:
         months = (MonthKey(2020, 1), MonthKey(2020, 3))
         with pytest.raises(ValueError):
             FeatureTable(months, {"x": np.array([1.0, 2.0])})
+
+    @pytest.mark.parametrize(
+        "months,gap",
+        [
+            ((MonthKey(2020, 1), MonthKey(2020, 2), MonthKey(2020, 2)), "2020-02 and 2020-02"),
+            ((MonthKey(2020, 2), MonthKey(2020, 1)), "2020-02 and 2020-01"),
+            ((MonthKey(2019, 12), MonthKey(2021, 1)), "2019-12 and 2021-01"),
+            (tuple(MonthKey(2020, m) for m in (1, 2, 4, 7)), "2020-02 and 2020-04"),
+        ],
+    )
+    def test_month_gaps_rejected_naming_the_first(self, months, gap):
+        cols = {"x": np.arange(len(months), dtype=float)}
+        with pytest.raises(ValueError, match=f"gap between {gap}$"):
+            FeatureTable(months, cols)
+
+    @pytest.mark.parametrize(
+        "months", [("2020-01", "2020-02"), (MonthKey(2020, 1), (2020, 2)), ((2020, 1),)]
+    )
+    def test_months_must_be_month_keys(self, months):
+        with pytest.raises(ValueError, match="MonthKey"):
+            FeatureTable(months, {"x": np.zeros(len(months))})
+
+    @pytest.mark.parametrize(
+        "months",
+        [(MonthKey(2019, 11), MonthKey(2019, 12), MonthKey(2020, 1)), (MonthKey(2020, 5),)],
+    )
+    def test_contiguous_months_accepted(self, months):
+        assert FeatureTable(months, {"x": np.zeros(len(months))}).months == months
+
+    @given(tables(), st.data())
+    def test_slice_is_a_read_only_view_equal_to_a_validated_copy(self, t, data):
+        lo, hi = data.draw(bounds(len(t)))
+        s = t.slice(t.months[lo], t.months[hi])
+        cols = {n: c[lo : hi + 1].copy() for n, c in t.columns.items()}
+        assert s == FeatureTable(t.months[lo : hi + 1], cols, t.target, t.ledger)
+        for name, column in s.columns.items():
+            assert np.shares_memory(column, t.column(name))
+            with pytest.raises(ValueError):  # nor can the parent's, which the slice shares
+                t.column(name).flags.writeable = True
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+        with pytest.raises(TypeError):
+            s.columns["x"] = np.zeros(len(s))
+        a, b = data.draw(bounds(len(s)))
+        assert s.slice(s.months[a], s.months[b]) == t.slice(t.months[lo + a], t.months[lo + b])
+
+    @given(tables(), st.data())
+    def test_with_target_shares_columns(self, t, data):
+        target = data.draw(st.sampled_from(t.column_names))
+        u = t.with_target(target)
+        assert u == FeatureTable(t.months, {n: c.copy() for n, c in t.columns.items()}, target, t.ledger)
+        assert all(u.column(n) is t.column(n) for n in t.column_names)
+        with pytest.raises(ValueError, match="not a column"):
+            t.with_target("nope")
 
     def test_column_length_mismatch_rejected(self):
         months = (MonthKey(2020, 1), MonthKey(2020, 2))
