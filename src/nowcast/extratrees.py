@@ -27,7 +27,6 @@ from .errors import (
     InvalidModelError,
     InvalidParamsError,
     MissingFeatureError,
-    NonFiniteError,
     TooShortError,
 )
 from .timeseries import FeatureTable
@@ -93,6 +92,14 @@ class Tree:
         return out
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only view of a private copy of ``values``: a view of a
+    read-only base can never be made writeable, and shares no caller's array."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr.view()
+
+
 class _TreeBuilder:
     """Node lists filled in depth-first, left-first order, then frozen."""
 
@@ -126,17 +133,14 @@ class _TreeBuilder:
         return node
 
     def freeze(self) -> Tree:
-        arrays = [
-            np.array(self.feature, dtype=np.intp),
-            np.array(self.threshold, dtype=np.float64),
-            np.array(self.left, dtype=np.intp),
-            np.array(self.right, dtype=np.intp),
-            np.array(self.value, dtype=np.float64),
-            np.array(self.count, dtype=np.intp),
-        ]
-        for arr in arrays:
-            arr.flags.writeable = False
-        return Tree(*arrays)
+        return Tree(
+            _frozen(self.feature, np.intp),
+            _frozen(self.threshold, np.float64),
+            _frozen(self.left, np.intp),
+            _frozen(self.right, np.intp),
+            _frozen(self.value, np.float64),
+            _frozen(self.count, np.intp),
+        )
 
 
 class RandomSplitSampler:
@@ -283,9 +287,7 @@ class ExtraTreesModel:
             raise InvalidParamsError(
                 f"model has {len(self.trees)} trees for n_trees={self.params.n_trees}"
             )
-        arr = np.asarray(self.importances, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "importances", arr)
+        object.__setattr__(self, "importances", _frozen(self.importances, np.float64))
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(model_to_dict(self), indent=indent)
@@ -311,10 +313,8 @@ def fit(
     if len(table) < 2:
         raise TooShortError(f"fit requires at least 2 rows, got {len(table)}")
 
-    X = np.ascontiguousarray(table.matrix(names), dtype=np.float64)
-    y = np.ascontiguousarray(table.target_values(), dtype=np.float64)
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise NonFiniteError("training data contains NaN or infinite values")
+    X = table.matrix(names)
+    y = table.target_values()
 
     k = params.k_features if params.k_features is not None else X.shape[1]
     if k > X.shape[1]:

@@ -380,12 +380,10 @@ def read_claims_csv(path) -> list[WeeklyClaims]:
     return _read(path, SCHEMAS["claims"])
 
 
-def read_monthly_series_csv(path, name: str | None = None, units: str = "") -> MonthlySeries:
-    """Read a ``month,value`` file into a series (name defaults to the file stem)."""
+def read_monthly_series_csv(path) -> MonthlySeries:
+    """Read a ``month,value`` file into a series named after the file stem."""
     rows = _read(path, SCHEMAS["monthly-series"])
-    return MonthlySeries(
-        rows[0].month, np.array([r.value for r in rows]), name=name or Path(path).stem, units=units
-    )
+    return MonthlySeries(rows[0].month, np.array([r.value for r in rows]), Path(path).stem)
 
 
 def write_monthly_series_csv(series: MonthlySeries, path) -> None:

@@ -16,22 +16,23 @@ backwards, so transforming a table and then cutting it at a month gives
 the same rows, bit for bit, as cutting first and transforming the prefix.
 :func:`reconstruct_level` walks the ledger backwards to turn a transformed
 prediction back into a level, anchored on actual history.
+
+One lag-``L`` difference, ``x[L:] - x[:-L]``, and one inverse serve the
+public functions, the pipeline and reconstruction. The inverse builds each
+level as its diff plus the level ``L`` places before it, one value after
+another, so approach A reconstructs ``(p + (y[t-12] - y[t-13])) + y[t-1]``
+and approach B ``p + y[t-1]``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AnchorMismatchError, ColumnClashError, TooShortError
-from .ledger import (
-    FirstDifference,
-    MonthOneHot,
-    SeasonalDifference,
-    TransformLedger,
-)
+from .errors import AnchorMismatchError, ColumnClashError, NonFiniteError, TooShortError
+from .ledger import FirstDifference, MonthOneHot, SeasonalDifference, TransformLedger
 from .timeseries import FeatureTable, MonthKey, MonthlySeries
 
 ONE_HOT_COLUMNS = tuple(f"month_{m:02d}" for m in range(1, 13))
@@ -62,43 +63,49 @@ def one_hot_month(month: MonthKey) -> OneHotVector:
     return OneHotVector(tuple(1 if m == month.month else 0 for m in range(1, 13)))
 
 
+def _difference(values: np.ndarray, lag: int) -> np.ndarray:
+    """``values[t] - values[t - lag]`` for every ``t`` with a value ``lag`` places back."""
+    if len(values) <= lag:
+        raise TooShortError(f"need more than {lag} values to difference, got {len(values)}")
+    return values[lag:] - values[:-lag]
+
+
+def _undifference(diffs: np.ndarray, anchor: np.ndarray, lag: int) -> np.ndarray:
+    """Levels whose lag-``lag`` differences are ``diffs``; the tail of ``anchor``
+    holds the ``lag`` levels before ``diffs[0]``."""
+    levels = anchor[len(anchor) - lag :].tolist()
+    for i, d in enumerate(diffs.tolist()):
+        levels.append(d + levels[i])
+    return np.array(levels[lag:])
+
+
 def first_difference(series: MonthlySeries) -> MonthlySeries:
     """Month-over-month changes: output[i] = input[i+1] - input[i].
 
     The result starts one month after the input and is one element shorter.
     """
-    if len(series) < 2:
-        raise TooShortError(f"need at least 2 values to difference, got {len(series)}")
-    diffs = series.values[1:] - series.values[:-1]
-    return MonthlySeries(series.start.shift(1), diffs, series.name, series.units)
+    return replace(series, start=series.start.shift(1), values=_difference(series.values, 1))
 
 
 def seasonal_difference(series: MonthlySeries, period: int = 12) -> MonthlySeries:
-    """Changes against the value ``period`` months earlier."""
-    if period < 2:
-        raise ValueError(f"period must be >= 2, got {period}")
-    if len(series) <= period:
-        raise TooShortError(
-            f"need more than {period} values to difference seasonally, got {len(series)}"
-        )
-    diffs = series.values[period:] - series.values[:-period]
-    return MonthlySeries(series.start.shift(period), diffs, series.name, series.units)
+    """Changes against the value ``period`` months earlier (``period >= 2``)."""
+    lag = SeasonalDifference(period).lag
+    return replace(series, start=series.start.shift(lag), values=_difference(series.values, lag))
 
 
 def invert_first_difference(
     diffs: MonthlySeries, anchor_value: float, anchor_month: MonthKey
 ) -> MonthlySeries:
-    """Rebuild levels from first differences by cumulative summation.
+    """Rebuild levels from first differences.
 
     ``anchor_value`` is the level of the month immediately before
-    ``diffs.start``; the round trip with :func:`first_difference` is exact.
+    ``diffs.start``; each level is its diff plus the level before it.
     """
     if anchor_month != diffs.start.shift(-1):
         raise AnchorMismatchError(
             f"anchor month {anchor_month} must immediately precede {diffs.start}"
         )
-    levels = float(anchor_value) + np.cumsum(diffs.values)
-    return MonthlySeries(diffs.start, levels, diffs.name, diffs.units)
+    return replace(diffs, values=_undifference(diffs.values, np.array([float(anchor_value)]), 1))
 
 
 def invert_seasonal_difference(
@@ -108,8 +115,7 @@ def invert_seasonal_difference(
 
     ``anchor`` must supply exactly the ``period`` values immediately
     preceding ``diffs.start`` on the pre-deseasoned scale. Each output value
-    is the diff plus the value one period earlier, drawn from the anchor for
-    the first ``period`` positions and from the output afterwards.
+    is the diff plus the value one period earlier.
     """
     if len(anchor) != period:
         raise AnchorMismatchError(
@@ -119,12 +125,7 @@ def invert_seasonal_difference(
         raise AnchorMismatchError(
             f"anchor must end at {diffs.start.shift(-1)}, ends at {anchor.end}"
         )
-    n = len(diffs)
-    buf = np.empty(period + n, dtype=np.float64)
-    buf[:period] = anchor.values
-    for i in range(n):
-        buf[period + i] = diffs.values[i] + buf[i]
-    return MonthlySeries(diffs.start, buf[period:], diffs.name, diffs.units)
+    return replace(diffs, values=_undifference(diffs.values, anchor.values, period))
 
 
 class Approach(str, enum.Enum):
@@ -145,10 +146,6 @@ _LEDGERS = {
 }
 
 
-def _difference(series: MonthlySeries, lag: int) -> MonthlySeries:
-    return first_difference(series) if lag == 1 else seasonal_difference(series, lag)
-
-
 def apply_pipeline(table: FeatureTable, approach: Approach | str) -> FeatureTable:
     """Transform every column of a level-scale table for model input.
 
@@ -164,20 +161,17 @@ def apply_pipeline(table: FeatureTable, approach: Approach | str) -> FeatureTabl
     if not table.ledger.is_empty:
         raise ValueError("table has already been transformed (ledger not empty)")
 
-    series = [MonthlySeries(table.start, v, name) for name, v in table.columns.items()]
+    months, columns = table.months, dict(table.columns)
     for step in ledger.steps:
         if step.lag:
-            series = [_difference(s, step.lag) for s in series]
+            columns = {name: _difference(v, step.lag) for name, v in columns.items()}
+            months = months[step.lag :]
         else:  # month one-hot: twelve indicator columns, data unchanged
-            if clash := [s.name for s in series if s.name in ONE_HOT_COLUMNS]:
+            if clash := [name for name in columns if name in ONE_HOT_COLUMNS]:
                 raise ColumnClashError(f"input column {clash[0]!r} is named like a month indicator")
-            rows = np.array([one_hot_month(mk).components for mk in series[0].months()])
-            series += [
-                MonthlySeries(series[0].start, rows[:, j], col)
-                for j, col in enumerate(ONE_HOT_COLUMNS)
-            ]
-    months = table.months[required_history(ledger) :]
-    return FeatureTable(months, {s.name: s.values for s in series}, table.target, ledger)
+            rows = np.array([one_hot_month(mk).components for mk in months])
+            columns.update(zip(ONE_HOT_COLUMNS, rows.T))
+    return FeatureTable(months, columns, table.target, ledger)
 
 
 def required_history(ledger: TransformLedger) -> int:
@@ -214,15 +208,17 @@ def reconstruct_level(
 
     # One-hot steps are identity on the target scale, so only differencing
     # steps take part in the reconstruction walk.
-    periods = [step.lag for step in ledger.steps if step.lag]
+    lags = [step.lag for step in ledger.steps if step.lag]
 
     # Forward pass: the history as seen just before each differencing step.
-    stages = [history]
-    for period in periods[:-1]:
-        stages.append(_difference(stages[-1], period))
+    stages = [history.values]
+    for lag in lags[:-1]:
+        stages.append(_difference(stages[-1], lag))
+        if not np.all(np.isfinite(stages[-1])):
+            raise NonFiniteError("differencing the history overflows")
 
-    # Backward pass: add each stage's lagged anchor in reverse step order.
-    value = float(predicted_transformed)
-    for period, stage in zip(reversed(periods), reversed(stages)):
-        value += stage.value_at(month.shift(-period))
-    return value
+    # Backward pass: undo each step, last first, anchored on the stage it differenced.
+    value = np.array([float(predicted_transformed)])
+    for lag, stage in zip(reversed(lags), reversed(stages)):
+        value = _undifference(value, stage, lag)
+    return float(value[0])

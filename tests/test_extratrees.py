@@ -225,6 +225,39 @@ class TestPredict:
         np.testing.assert_array_equal(predict(model, widened), predict(model, train))
 
 
+class TestReadOnlyModel:
+    TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "count")
+
+    def assert_read_only(self, arr):
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+    @pytest.mark.parametrize("source", ["fit", "from_json"])
+    def test_trees_and_importances_cannot_be_made_writeable(self, source):
+        table = random_table(25, 3, seed=62)
+        model = fit(table, ExtraTreesParams(n_trees=3, seed=62), n_threads=1)
+        if source == "from_json":
+            model = ExtraTreesModel.from_json(model.to_json())
+        before = predict(model, table)
+        for tree in model.trees:
+            for name in self.TREE_ARRAYS:
+                self.assert_read_only(getattr(tree, name))
+        self.assert_read_only(model.importances)
+        assert predict(model, table).tobytes() == before.tobytes()
+
+    def test_callers_importances_stay_writeable_and_unshared(self):
+        model = fit(random_table(25, 3, seed=63), ExtraTreesParams(n_trees=2, seed=63))
+        mine = np.array([0.5, 0.25, 0.25])
+        rebuilt = ExtraTreesModel(model.trees, model.params, model.feature_names, mine)
+        assert mine.flags.writeable
+        assert not np.shares_memory(mine, rebuilt.importances)
+        mine[0] = 1.0
+        assert rebuilt.importances.tolist() == [0.5, 0.25, 0.25]
+        self.assert_read_only(rebuilt.importances)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         table = random_table(25, 3, seed=61)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nowcast.errors import AnchorMismatchError, ColumnClashError, NowcastError, TooShortError
+from nowcast.errors import (
+    AnchorMismatchError,
+    ColumnClashError,
+    NonFiniteError,
+    NowcastError,
+    TooShortError,
+)
 from nowcast.ledger import FirstDifference, MonthOneHot, SeasonalDifference
 from nowcast.timeseries import FeatureTable, MonthKey, MonthlySeries
 from nowcast.transforms import (
@@ -17,7 +23,7 @@ from nowcast.transforms import (
     reconstruct_level,
     required_history,
 )
-from nowcast.transforms import seasonal_difference
+from nowcast.transforms import _undifference, seasonal_difference
 
 
 def series(values, start=MonthKey(2015, 1), name="s"):
@@ -306,3 +312,80 @@ class TestReconstructLevel:
         history = target.window(month.shift(-5), month.shift(-1))
         with pytest.raises(AnchorMismatchError):
             reconstruct_level(out.ledger, 0.0, history, month)
+
+
+def undifference_by_definition(diffs, anchor):
+    """Levels after ``anchor``: each is its diff plus the level ``len(anchor)`` places back."""
+    lag = len(anchor)
+    levels = [float(a) for a in anchor]
+    for d in diffs:
+        levels.append(float(d) + levels[len(levels) - lag])
+    return levels[lag:]
+
+
+def hex_list(values):
+    return [float(v).hex() for v in values]
+
+
+wide_floats = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+
+
+class TestOneInverse:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lag=st.sampled_from([1, 2, 12, 13]),
+        values=st.lists(wide_floats, min_size=14, max_size=50),
+    )
+    @example(lag=1, values=[0.1, 0.2, 0.3] + [0.0] * 11)
+    def test_inverses_follow_the_definition_bit_for_bit(self, lag, values):
+        anchor, diffs = values[:lag], values[lag:]
+        expected = hex_list(undifference_by_definition(diffs, anchor))
+        assert hex_list(_undifference(np.array(diffs), np.array(anchor), lag)) == expected
+        start = MonthKey(2001, 1)
+        d = series(diffs, start=start.shift(lag))
+        if lag == 1:
+            assert hex_list(invert_first_difference(d, anchor[0], start).values) == expected
+        assert hex_list(invert_seasonal_difference(d, series(anchor, start), lag).values) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        table=level_tables(min_rows=14, max_rows=40),
+        approach=st.sampled_from(list(Approach)),
+        predictions=st.lists(wide_floats, min_size=1, max_size=5),
+    )
+    def test_reconstruction_adds_in_the_documented_order(self, table, approach, predictions):
+        """A: (p + (y[t-12] - y[t-13])) + y[t-1]; B: p + y[t-1], as float.hex."""
+        out = apply_pipeline(table, approach)
+        target = table.target_series()
+        y = target.values.tolist()
+        need = required_history(approach.ledger)
+        for i, month in enumerate(out.months):
+            t = i + need
+            p = predictions[i % len(predictions)]
+            history = target.window(month.shift(-need), month.shift(-1))
+            got = reconstruct_level(out.ledger, p, history, month)
+            if approach is Approach.SEASONAL_DIFF:
+                expected = (p + (y[t - 12] - y[t - 13])) + y[t - 1]
+            else:
+                expected = p + y[t - 1]
+            assert got.hex() == expected.hex()
+
+
+OVERFLOWING = [1.7e308, -1.7e308] + [0.0] * 14
+
+
+class TestOverflow:
+    def test_reconstruct_level_refuses_an_overflowing_history(self):
+        """Approach A differences the history once before it inverts."""
+        history = series(OVERFLOWING)
+        ledger = Approach.SEASONAL_DIFF.ledger
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            reconstruct_level(ledger, 0.0, history, history.end.shift(1))
+
+    @pytest.mark.parametrize("approach", list(Approach))
+    def test_apply_pipeline_refuses_an_overflowing_column(self, approach):
+        table = level_table(len(OVERFLOWING))
+        columns = {**table.columns, "f0": np.array(OVERFLOWING)}
+        table = FeatureTable(table.months, columns, target="target")
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            apply_pipeline(table, approach)
