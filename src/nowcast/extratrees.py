@@ -60,6 +60,14 @@ class ExtraTreesParams:
             raise InvalidParamsError("seed must fit in an unsigned 64-bit integer")
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only view of a private copy of ``values``: a view of a
+    read-only base can never be made writeable, and shares no caller's array."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr.view()
+
+
 @dataclass(frozen=True, eq=False)
 class Tree:
     """One fitted tree as parallel node arrays, numbered in build order.
@@ -70,6 +78,7 @@ class Tree:
     ``right[i]``. A leaf has ``feature``, ``left`` and ``right`` equal to -1
     and predicts ``value[i]``, the mean target of its ``count[i]`` training
     rows. ``threshold`` is NaN at leaves and ``value`` is NaN at splits.
+    Each array is stored as a read-only view of a private copy.
     """
 
     feature: np.ndarray
@@ -78,6 +87,12 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     count: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("feature", "left", "right", "count"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.intp))
+        for name in ("threshold", "value"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
 
     def leaf_values(self, rows: list[list[float]]) -> list[float]:
         """Value of the leaf each row reaches."""
@@ -90,14 +105,6 @@ class Tree:
                 node = left[node] if x[feature[node]] < threshold[node] else right[node]
             out.append(value[node])
         return out
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only view of a private copy of ``values``: a view of a
-    read-only base can never be made writeable, and shares no caller's array."""
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr.view()
 
 
 class _TreeBuilder:
@@ -133,14 +140,7 @@ class _TreeBuilder:
         return node
 
     def freeze(self) -> Tree:
-        return Tree(
-            _frozen(self.feature, np.intp),
-            _frozen(self.threshold, np.float64),
-            _frozen(self.left, np.intp),
-            _frozen(self.right, np.intp),
-            _frozen(self.value, np.float64),
-            _frozen(self.count, np.intp),
-        )
+        return Tree(self.feature, self.threshold, self.left, self.right, self.value, self.count)
 
 
 class RandomSplitSampler:

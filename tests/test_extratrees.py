@@ -257,6 +257,17 @@ class TestReadOnlyModel:
         assert rebuilt.importances.tolist() == [0.5, 0.25, 0.25]
         self.assert_read_only(rebuilt.importances)
 
+    def test_callers_tree_arrays_stay_writeable_and_unshared(self):
+        fitted = fit(random_table(25, 3, seed=64), ExtraTreesParams(n_trees=1, seed=64)).trees[0]
+        mine = {name: getattr(fitted, name).copy() for name in self.TREE_ARRAYS}
+        tree = extratrees.Tree(**mine)
+        for name, arr in mine.items():
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, getattr(tree, name))
+            self.assert_read_only(getattr(tree, name))
+        mine["value"][:] = 7.0
+        assert tree.value.tobytes() == fitted.value.tobytes()
+
 
 class TestSerialization:
     def test_json_round_trip(self):
