@@ -73,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = ingest.validate(args.path, args.schema)
-    print(report.to_json())
+    # streamed: the same bytes as print(report.to_json()) without the whole text in memory
+    json.dump(report.to_dict(), sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return 0 if report.passed else 1
 
 

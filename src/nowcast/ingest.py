@@ -12,7 +12,17 @@ Each schema is one :class:`Schema` in :data:`SCHEMAS`: header, column
 parsers and bounds, and the rules across rows. One scan walks a file
 against it. ``validate`` reports what the scan finds plus robust outliers
 and never raises on bad rows; the ``read_*`` functions enforce the same
-spec, raising its first error as :class:`MalformedFileError`.
+spec, raising its first error as :class:`MalformedFileError`. Their
+records (:class:`EmployerRecord`, :class:`StormEvent`,
+:class:`WeeklyClaims`) are named tuples (``typing.NamedTuple``), so a
+record also equals the plain tuple of its values.
+
+A scan holds one row at a time. Across rows it keeps only what a rule
+needs: the unique keys seen so far, the last ordered value and, for
+``validate``, one compact buffer of lines and values per outlier column.
+It always reads the file to its end, so a file that fails to decode as
+UTF-8 or to split into CSV fields anywhere raises
+:class:`UnreadableFileError`, even when an earlier row is bad.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ import datetime as dt
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -42,8 +52,7 @@ VALIDATION_SCHEMA_VERSION = 1
 OUTLIER_MAD_THRESHOLD = 5.0
 
 
-@dataclass(frozen=True)
-class EmployerRecord:
+class EmployerRecord(NamedTuple):
     employer_id: str
     month: MonthKey
     active_employees: int
@@ -51,8 +60,7 @@ class EmployerRecord:
     size_band: str
 
 
-@dataclass(frozen=True)
-class StormEvent:
+class StormEvent(NamedTuple):
     state: str
     event_type: str
     begin_date: dt.date
@@ -60,8 +68,7 @@ class StormEvent:
     damage_usd: float
 
 
-@dataclass(frozen=True)
-class WeeklyClaims:
+class WeeklyClaims(NamedTuple):
     week_ending: dt.date
     initial_claims: int
     continued_claims: int
@@ -237,22 +244,32 @@ class ValidationReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def _rows(path) -> Iterator[list[str]]:
+    """The file's CSV rows, read and decoded one at a time."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from csv.reader(fh)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
+
+
 def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]]:
     """Yield ``(line, values, findings)`` for each data row, in file order.
 
     ``values`` are the row's cells parsed in header order, ``None`` where a
     cell is bad, or ``None`` as a whole for a wrong field count and for the
     file-level findings: a wrong header (which ends the scan), no data rows.
+    Rows are read one at a time, and the file is always read to its end, so
+    a failure to read any part of it raises ``UnreadableFileError`` however
+    the consumer treats the findings before it.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    rows = _rows(path)
+    header = next(rows, None)
+    if header is None:
         raise UnreadableFileError(f"{path} is empty (missing header)")
-    header, rows = rows[0], rows[1:]
     if tuple(header) != spec.header:
+        for _ in rows:  # a read failure further on still wins
+            pass
         got = f"expected {','.join(spec.header)!r}, got {','.join(header)!r}"
         yield 1, None, [Finding("<header>", 1, "header_mismatch", "error", got)]
         return
@@ -262,13 +279,19 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
     for c in spec.columns:
         # a file repeats few month and date texts, and they are dear to parse
         memo = {} if c.parse in (_month, _date) else None
-        cells.append((c.name, index[c.name], c.parse, c.required, c.minimum, memo))
+        share = c.parse is str or c.name in spec.unique
+        cells.append((c.name, index[c.name], c.parse, c.required, c.minimum, memo, share))
+    # one object per distinct text of the text and key columns, which the
+    # records and ``seen`` then share
+    shared: dict[str, str] = {}
     key = [index[name] for name in spec.unique]
-    key_of = itemgetter(*key) if key else None
+    # the line that first had each key, nested one dict per key column so
+    # that no row leaves a key tuple behind
     seen: dict = {}
     ordered = (spec.increasing, spec.contiguous, spec.saturdays)
     increasing, contiguous, saturdays = map(index.get, ordered)
     last_increasing = last_contiguous = None
+    line = 1
     for line, row in enumerate(rows, 2):
         if len(row) != width:
             message = f"expected {width} fields, got {len(row)}"
@@ -276,8 +299,11 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
             continue
         values: list = [None] * width
         found: list[Finding] = []
-        for name, i, parse, required, minimum, memo in cells:
-            row[i] = text = row[i].strip()  # in place: the key below reads the stripped texts
+        for name, i, parse, required, minimum, memo, share in cells:
+            text = row[i].strip()
+            if share:
+                text = shared.setdefault(text, text)
+            row[i] = text  # in place: the key below reads the stripped texts
             try:
                 if not text and required:
                     raise _BadCell("missing_value", "cell is empty")
@@ -292,9 +318,15 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
             else:
                 values[i] = value
         if key and values[key[0]] is not None:
-            first = seen.setdefault(key_of(row), line)
+            *outer, last = texts = [row[i] for i in key]
+            level = seen
+            for text in outer:
+                if (inner := level.get(text)) is None:
+                    inner = level[text] = {}
+                level = inner
+            first = level.setdefault(last, line)
             if first != line:
-                repeat = spec.duplicate.format(*[row[i] for i in key])
+                repeat = spec.duplicate.format(*texts)
                 message = f"{repeat} (first at line {first})"
                 found.append(Finding(spec.unique[0], line, "duplicate", "error", message))
         if increasing is not None and (value := values[increasing]) is not None:
@@ -312,24 +344,27 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
                 message = f"{value} is not a Saturday"
                 found.append(Finding(spec.saturdays, line, "convention", "warning", message))
         yield line, values, found
-    if spec.needs_rows and not rows:
+    if spec.needs_rows and line == 1:
         yield 1, None, [Finding("<file>", 1, "no_data", "error", "no data rows")]
 
 
-def _outliers(numeric: dict[str, list[tuple[int, float]]]) -> list[Finding]:
-    """Robust z-score pass: |value - median| / MAD above the threshold."""
+def _outliers(columns: list[tuple[str, array, array]]) -> list[Finding]:
+    """Robust z-score pass: |value - median| / MAD above the threshold.
+
+    Each column comes as its name, the lines of its good values and those
+    values, in file order.
+    """
     found = []
-    for column, pairs in numeric.items():
-        values = np.array([v for _, v in pairs])
+    for column, lines, numbers in columns:
+        values = np.frombuffer(numbers, dtype=np.float64)
         median = float(np.median(values))
         deviations = np.abs(values - median)
         mad = float(np.median(deviations))
-        for (row, value), deviation in zip(pairs, deviations):
-            # with zero MAD any deviation is infinitely many MADs out
-            z = deviation / mad if mad > 0 else (np.inf if deviation > 0 else 0.0)
-            if z > OUTLIER_MAD_THRESHOLD:
-                message = f"value {value} is {z:.1f} MADs from the median {median}"
-                found.append(Finding(column, row, "outlier", "warning", message))
+        # with zero MAD any deviation is infinitely many MADs out
+        z = deviations / mad if mad > 0 else np.where(deviations > 0, np.inf, 0.0)
+        for k in np.flatnonzero(z > OUTLIER_MAD_THRESHOLD).tolist():
+            message = f"value {numbers[k]} is {z[k]:.1f} MADs from the median {median}"
+            found.append(Finding(column, lines[k], "outlier", "warning", message))
     return found
 
 
@@ -345,26 +380,44 @@ def validate(path, schema: str) -> ValidationReport:
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; expected one of {sorted(SCHEMAS)}")
     spec = SCHEMAS[schema]
-    watched = [(c.name, spec.header.index(c.name)) for c in spec.columns if c.outliers]
+    watched = [
+        (c.name, spec.header.index(c.name), array("q"), array("d"))
+        for c in spec.columns
+        if c.outliers
+    ]
     findings: list[Finding] = []
-    numeric: dict[str, list[tuple[int, float]]] = {}
     for line, values, found in _scan(path, spec):
         findings += found
-        for name, i in watched if values else ():
-            if values[i] is not None:
-                numeric.setdefault(name, []).append((line, float(values[i])))
-    findings += _outliers(numeric)
+        for _, i, lines, numbers in watched if values else ():
+            if (value := values[i]) is not None:
+                lines.append(line)
+                numbers.append(value)
+    # a column's outliers follow those of the columns with an earlier first good value
+    columns = [(name, lines, numbers) for name, _, lines, numbers in watched if lines]
+    columns.sort(key=lambda c: c[1][0])
+    findings += _outliers(columns)
     return ValidationReport(schema, str(path), tuple(findings))
 
 
 def _read(path, spec: Schema) -> list:
-    """Every row of a file as ``spec.record``; raises on the scan's first error."""
+    """Every row of a file as ``spec.record``; raises on the scan's first error.
+
+    The rest of the file is still scanned, so that a failure to read it
+    raises ``UnreadableFileError`` instead.
+    """
     records = []
+    error = None
     for _, values, found in _scan(path, spec):
+        if error is not None:
+            continue
         for f in found:
             if f.severity == "error":
-                raise MalformedFileError(f"{path}:{f.row}: {f.column}: {f.message}")
-        records.append(spec.record(*values))
+                error = f
+                break
+        else:
+            records.append(spec.record(*values))
+    if error is not None:
+        raise MalformedFileError(f"{path}:{error.row}: {error.column}: {error.message}")
     return records
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nowcast.cli import main
+from nowcast.ingest import validate
 
 CLEAN_CLAIMS = """week_ending,initial_claims,continued_claims
 2017-01-07,200000,1700000
@@ -47,6 +48,24 @@ class TestValidateCommand:
         assert code == 2 and out == ""
         [line] = err.splitlines()
         assert line.startswith(f"error: cannot read {path}: field larger than field limit")
+
+    def test_stdout_is_the_report_json_and_a_newline(self, tmp_path, capsys):
+        # errors, outlier warnings on both count columns and a week off a Saturday
+        path = tmp_path / "claims.csv"
+        weeks = [f"2017-{m:02d}-{d:02d}" for m, d in ((1, 7), (1, 14), (1, 20), (1, 28), (2, 4))]
+        weeks += [f"2017-02-{d}" for d in (11, 18, 25, 25)]
+        counts = [",1700000", "210000,1700000", "190000,1700000", "9990000,1700000"]
+        counts += ["200000,99999999"] + ["200000,1700000"] * 4
+        path.write_text(CLEAN_CLAIMS.splitlines()[0] + "\n" + "".join(
+            f"{w},{c}\n" for w, c in zip(weeks, counts)
+        ))
+        report = validate(path, "claims")
+        assert {f.kind for f in report.findings} == {
+            "missing_value", "duplicate", "ordering", "outlier", "convention"
+        }
+        code, out, _ = run(["validate", str(path), "--schema", "claims"], capsys)
+        assert code == 1
+        assert out == report.to_json() + "\n"
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, err = run(
@@ -199,6 +218,17 @@ class TestBacktestCommand:
         assert code == 2
         [line] = err.splitlines()
         assert line.startswith(f"error: cannot read {target}: field larger than field limit")
+
+    def test_unreadable_target_exits_two_despite_an_earlier_bad_row(
+        self, synth_dir, tmp_path, capsys, unreadable_after_bad_row
+    ):
+        target, error = unreadable_after_bad_row
+        args = backtest_args(synth_dir, tmp_path / "x")
+        args[args.index("--target") + 1] = str(target)
+        code, _, err = run(args, capsys)
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith(f"error: cannot read {target}: {error}")
 
     def test_feature_named_like_a_month_indicator_exits_one(self, synth_dir, tmp_path, capsys):
         (synth_dir / "month_03.csv").write_bytes((synth_dir / "feature_02.csv").read_bytes())

@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,18 @@ class TestReaders:
                 read(path)
             assert str(info.value).startswith(f"cannot read {path}: ")
 
+    def test_a_read_failure_anywhere_wins_over_an_earlier_bad_row(self, unreadable_after_bad_row):
+        # the scan streams rows, yet a file that cannot be read to its end is
+        # unreadable (exit 2) before it is malformed, by a row or its header
+        path, error = unreadable_after_bad_row
+        wrong_header = path.with_name("header.csv")
+        wrong_header.write_bytes(path.read_bytes().replace(b"month,value", b"month,level", 1))
+        for read in (read_monthly_series_csv, lambda p: validate(p, "monthly-series")):
+            for bad in (path, wrong_header):
+                with pytest.raises(UnreadableFileError) as info:
+                    read(bad)
+                assert str(info.value).startswith(f"cannot read {bad}: {error}")
+
     def test_bad_row_raises_with_line_number(self, tmp_path):
         path = write(
             tmp_path,
@@ -197,6 +210,45 @@ READERS = {
 STORM_HEADER = "state,event_type,begin_date,injuries,damage_usd\n"
 EMPLOYER_HEADER = "employer_id,month,active_employees,sector,size_band\n"
 CLAIMS_HEADER = "week_ending,initial_claims,continued_claims\n"
+
+RECORDS = [
+    ("employer", EmployerRecord, ("X", MonthKey(2021, 1), 10, "services", "small")),
+    ("storm", StormEvent, ("TX", "hail", dt.date(2017, 9, 2), 3, 1e6)),
+    ("claims", WeeklyClaims, (dt.date(2017, 1, 7), 200000, 1700000)),
+]
+
+
+@pytest.mark.parametrize("schema,record,values", RECORDS)
+def test_records_are_named_tuples_of_the_schema_columns(schema, record, values):
+    r = record(*values)
+    assert r == values and tuple(r) == values
+    assert r._fields == SCHEMAS[schema].header
+    assert [getattr(r, name) for name in r._fields] == list(values)
+    with pytest.raises(AttributeError):
+        setattr(r, r._fields[0], values[0])
+
+
+def test_validate_memory_is_bounded_per_row(tmp_path):
+    # a scan holds one row at a time; what grows with the file is the outlier
+    # buffers (a line and a float per watched cell) and the findings
+    rng = random.Random(0)
+    n = 100_000
+    rows = [
+        f"S{rng.randrange(50):02d},{rng.choice(['Hail', 'Tornado', 'Heat'])},"
+        f"{dt.date(2015, 1, 1) + dt.timedelta(days=i * 3000 // n)},{rng.randrange(3)},"
+        f"{round(rng.lognormvariate(8, 2), 2)!r}\n"
+        for i in range(n)
+    ]
+    path = write(tmp_path, "storms.csv", STORM_HEADER + "".join(rows))
+    tracemalloc.start()
+    try:
+        report = validate(path, "storm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 128 * n, f"{peak / n:.0f} bytes per row"
+
 
 # on each of these files validate and the strict reader once disagreed
 DISAGREEMENTS = [
