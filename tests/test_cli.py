@@ -50,15 +50,19 @@ class TestValidateCommand:
         assert line.startswith(f"error: cannot read {path}: field larger than field limit")
 
     def test_stdout_is_the_report_json_and_a_newline(self, tmp_path, capsys):
-        # errors, outlier warnings on both count columns and a week off a Saturday
         path = tmp_path / "claims.csv"
-        weeks = [f"2017-{m:02d}-{d:02d}" for m, d in ((1, 7), (1, 14), (1, 20), (1, 28), (2, 4))]
-        weeks += [f"2017-02-{d}" for d in (11, 18, 25, 25)]
-        counts = [",1700000", "210000,1700000", "190000,1700000", "9990000,1700000"]
-        counts += ["200000,99999999"] + ["200000,1700000"] * 4
-        path.write_text(CLEAN_CLAIMS.splitlines()[0] + "\n" + "".join(
-            f"{w},{c}\n" for w, c in zip(weeks, counts)
-        ))
+        path.write_text(
+            "week_ending,initial_claims,continued_claims\n"
+            "2017-01-07,,1700000\n"
+            "2017-01-14,210000,1700000\n"
+            "2017-01-20,190000,1700000\n"  # a Friday
+            "2017-01-28,9990000,1700000\n"
+            "2017-02-04,200000,99999999\n"
+            "2017-02-11,200000,1700000\n"
+            "2017-02-18,200000,1700000\n"
+            "2017-02-25,200000,1700000\n"
+            "2017-02-25,200000,1700000\n"
+        )
         report = validate(path, "claims")
         assert {f.kind for f in report.findings} == {
             "missing_value", "duplicate", "ordering", "outlier", "convention"
