@@ -76,12 +76,9 @@ class BacktestConfig:
     min_train_months: int
     approach: Approach
     model_params: ExtraTreesParams
-    horizon_months: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "approach", Approach(self.approach))
-        if self.horizon_months != 1:
-            raise InvalidParamsError("only a one-month horizon is supported")
         floor = MIN_TRAIN_FLOOR[self.approach]
         if self.min_train_months < floor:
             raise InvalidParamsError(
@@ -92,7 +89,7 @@ class BacktestConfig:
     def to_dict(self) -> dict:
         return {
             "min_train_months": self.min_train_months,
-            "horizon_months": self.horizon_months,
+            "horizon_months": 1,
             "approach": self.approach.value,
             "model_params": asdict(self.model_params),
         }
@@ -151,8 +148,8 @@ class BacktestReport:
             "predictions": [r.to_dict() for r in self.records],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def write_csv(self, path) -> None:
         """Flat per-month records."""
@@ -208,11 +205,13 @@ def run_backtest(
 
     months = table.months
     target = table.target_series()
+    levels = target.values
     transformed = apply_pipeline(table, config.approach)
     actual_transformed = transformed.target_values()
     need = required_history(transformed.ledger)  # leading rows dropped
+    first = config.min_train_months  # the first test month's row
     records: list[PredictionRecord] = []
-    for t in range(config.min_train_months, n):
+    for t in range(first, n):
         train = transformed.slice(transformed.start, months[t - 1])
         test_row = transformed.slice(months[t], months[t])
 
@@ -233,26 +232,23 @@ def run_backtest(
                 predicted_transformed=predicted_transformed,
                 actual_transformed=float(actual_transformed[t - need]),
                 predicted_level=predicted_level,
-                actual_level=float(target.values[t]),
+                actual_level=float(levels[t]),
                 train_rows_used=len(train),
             )
         )
 
     predicted_levels = [r.predicted_level for r in records]
-    actual_levels = [r.actual_level for r in records]
-    prior_actuals = [float(target.values[(r.month - months[0]) - 1]) for r in records]
     try:
         r_squared_transformed = r_squared(
-            [r.actual_transformed for r in records],
-            [r.predicted_transformed for r in records],
+            actual_transformed[first - need :], [r.predicted_transformed for r in records]
         )
     except DegenerateActualsError:
         r_squared_transformed = None  # constant transformed actuals: undefined
     return BacktestReport(
         records=tuple(records),
-        r_squared_level=r_squared(actual_levels, predicted_levels),
+        r_squared_level=r_squared(levels[first:], predicted_levels),
         directional_accuracy=directional_accuracy(
-            predicted_levels, actual_levels, prior_actuals
+            predicted_levels, levels[first:], levels[first - 1 : -1]
         ),
         r_squared_transformed=r_squared_transformed,
         config=config,

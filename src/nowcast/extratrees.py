@@ -9,6 +9,9 @@ reached leaf values across trees.
 
 A fitted tree is a set of parallel node arrays (:class:`Tree`); the JSON
 model document encodes each one as nested ``leaf``/``split`` objects.
+:class:`ExtraTreesModel` and :class:`ExtraTreesParams` check their own
+invariants; :func:`model_from_dict` only decodes, and maps their
+:class:`InvalidParamsError` to :class:`InvalidModelError`.
 
 Determinism contract: all randomness flows from numpy's PCG64 bit
 generator. Tree ``i`` draws from ``PCG64(seed ^ i)``, and the trees are
@@ -29,7 +32,7 @@ from .errors import (
     MissingFeatureError,
     TooShortError,
 )
-from .timeseries import FeatureTable
+from .timeseries import FeatureTable, _read_only
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -60,14 +63,6 @@ class ExtraTreesParams:
             raise InvalidParamsError("seed must fit in an unsigned 64-bit integer")
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only view of a private copy of ``values``: a view of a
-    read-only base can never be made writeable, and shares no caller's array."""
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr.view()
-
-
 @dataclass(frozen=True, eq=False)
 class Tree:
     """One fitted tree as parallel node arrays, numbered in build order.
@@ -90,9 +85,9 @@ class Tree:
 
     def __post_init__(self) -> None:
         for name in ("feature", "left", "right", "count"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.intp))
+            object.__setattr__(self, name, _read_only(getattr(self, name), np.intp))
         for name in ("threshold", "value"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     def leaf_values(self, rows: list[list[float]]) -> list[float]:
         """Value of the leaf each row reaches."""
@@ -275,7 +270,8 @@ def _build(
 
 @dataclass(frozen=True, eq=False)
 class ExtraTreesModel:
-    """A fitted ensemble: trees, hyperparameters, and importances."""
+    """A fitted ensemble: one tree per ``params.n_trees``, the hyperparameters,
+    and one finite importance per feature name."""
 
     trees: tuple[Tree, ...]
     params: ExtraTreesParams
@@ -287,10 +283,17 @@ class ExtraTreesModel:
             raise InvalidParamsError(
                 f"model has {len(self.trees)} trees for n_trees={self.params.n_trees}"
             )
-        object.__setattr__(self, "importances", _frozen(self.importances, np.float64))
+        importances = _read_only(self.importances)
+        if importances.shape != (len(self.feature_names),):
+            raise InvalidParamsError(
+                f"{importances.size} importances for {len(self.feature_names)} feature names"
+            )
+        if not np.all(np.isfinite(importances)):
+            raise InvalidParamsError("importances must be finite")
+        object.__setattr__(self, "importances", importances)
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(model_to_dict(self), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(model_to_dict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "ExtraTreesModel":
@@ -426,7 +429,7 @@ def _tree_from_dict(doc: dict, n_features: int) -> Tree:
 
 def model_from_dict(d: dict) -> ExtraTreesModel:
     """Decode :func:`model_to_dict` output; malformed documents raise
-    :class:`InvalidModelError`."""
+    :class:`InvalidModelError`, and so does a model its types reject."""
     if not isinstance(d, dict):
         raise InvalidModelError(f"a model document is an object, got {type(d).__name__}")
     if d.get("schema_version") != MODEL_SCHEMA_VERSION:
@@ -440,21 +443,13 @@ def model_from_dict(d: dict) -> ExtraTreesModel:
             seed=int(p["seed"]),
         )
         names = tuple(d["feature_names"])
-        importances = np.asarray(d["importances"], dtype=np.float64)
-        docs = list(d["trees"])
-        if len(docs) != params.n_trees:
-            raise InvalidModelError(
-                f"model document has {len(docs)} trees for n_trees={params.n_trees}"
-            )
-        if importances.shape != (len(names),):
-            raise InvalidModelError(
-                f"{importances.size} importances for {len(names)} feature names"
-            )
-        trees = tuple(_tree_from_dict(t, len(names)) for t in docs)
+        if not all(isinstance(name, str) for name in names):
+            raise InvalidModelError("feature names must be strings")
+        trees = tuple(_tree_from_dict(t, len(names)) for t in d["trees"])
+        return ExtraTreesModel(trees, params, names, d["importances"])
     except InvalidModelError:
         raise
     except KeyError as exc:
         raise InvalidModelError(f"model document lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidParamsError) as exc:
         raise InvalidModelError(f"malformed model document: {exc}") from None
-    return ExtraTreesModel(trees, params, names, importances)

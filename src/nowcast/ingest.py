@@ -8,14 +8,15 @@ months as YYYY-MM, dates as YYYY-MM-DD):
 * claims    — ``week_ending,initial_claims,continued_claims``
 * monthly-series — ``month,value``
 
-Each schema is one :class:`Schema` in :data:`SCHEMAS`: header, column
-parsers and bounds, and the rules across rows. One scan walks a file
-against it. ``validate`` reports what the scan finds plus robust outliers
-and never raises on bad rows; the ``read_*`` functions enforce the same
-spec, raising its first error as :class:`MalformedFileError`. Their
-records (:class:`EmployerRecord`, :class:`StormEvent`,
+Each schema is one :class:`Schema` in :data:`SCHEMAS`: record type,
+column parsers and bounds, and the rules across rows. One scan walks a
+file against it. ``validate`` reports what the scan finds plus robust
+outliers and never raises on bad rows; the ``read_*`` functions enforce
+the same spec, raising its first error as :class:`MalformedFileError`.
+Their records (:class:`EmployerRecord`, :class:`StormEvent`,
 :class:`WeeklyClaims`) are named tuples (``typing.NamedTuple``), so a
-record also equals the plain tuple of its values.
+record also equals the plain tuple of its values, and a schema's header is
+its record type's fields.
 
 A scan holds one row at a time. Across rows it keeps only what a rule
 needs: the unique keys seen so far, the last ordered value and, for
@@ -137,11 +138,10 @@ class Column:
 
 @dataclass(frozen=True)
 class Schema:
-    """One file schema: its header, its columns and its rules across rows."""
+    """One file schema: its columns, its record type and its rules across rows."""
 
-    header: tuple[str, ...]
     columns: tuple[Column, ...]  # each header column, in the order a row's cells are checked
-    record: Callable[..., Any]  # built from a good row's values in header order
+    record: type  # a NamedTuple, built from a good row's values in header order
     # key columns whose stripped texts may not repeat; a repeat is named on
     # the first, and a row is keyed only when that first cell is good
     unique: tuple[str, ...] = ()
@@ -151,10 +151,14 @@ class Schema:
     saturdays: str | None = None  # a date off a Saturday is a warning
     needs_rows: bool = False  # a header-only file is an error
 
+    @property
+    def header(self) -> tuple[str, ...]:
+        """The file's header row: the record type's fields, in order."""
+        return self.record._fields
+
 
 SCHEMAS: dict[str, Schema] = {
     "employer": Schema(
-        header=("employer_id", "month", "active_employees", "sector", "size_band"),
         columns=(
             Column("month", _month),
             Column("active_employees", _integer, minimum=0, outliers=True),
@@ -167,7 +171,6 @@ SCHEMAS: dict[str, Schema] = {
         duplicate="employer {0!r} repeated for {1}",
     ),
     "storm": Schema(
-        header=("state", "event_type", "begin_date", "injuries", "damage_usd"),
         columns=(
             Column("state", str, required=False),
             Column("event_type", str, required=False),
@@ -178,7 +181,6 @@ SCHEMAS: dict[str, Schema] = {
         record=StormEvent,
     ),
     "claims": Schema(
-        header=("week_ending", "initial_claims", "continued_claims"),
         columns=(
             Column("week_ending", _date),
             Column("initial_claims", _integer, minimum=0, outliers=True),
@@ -191,7 +193,6 @@ SCHEMAS: dict[str, Schema] = {
         saturdays="week_ending",
     ),
     "monthly-series": Schema(
-        header=("month", "value"),
         columns=(Column("value", _real, outliers=True), Column("month", _month)),
         record=_Observation,
         contiguous="month",
@@ -240,8 +241,8 @@ class ValidationReport:
             "column_summary": self.column_summary(),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _rows(path) -> Iterator[list[str]]:
@@ -518,6 +519,7 @@ def aggregate_claims_monthly(
     for c in ordered:
         by_month.setdefault(MonthKey(c.week_ending.year, c.week_ending.month), []).append(c)
 
+    # months in week order, so already sorted
     covered = [
         month
         for month, weeks in by_month.items()
@@ -525,7 +527,6 @@ def aggregate_claims_monthly(
     ]
     if not covered:
         raise EmptyInputError("no month is fully covered by the supplied weeks")
-    covered.sort()
     for prev, cur in zip(covered, covered[1:]):
         if cur - prev != 1:
             raise ValueError(f"covered months have a gap between {prev} and {cur}")

@@ -44,11 +44,6 @@ class MonthKey:
         year, rem = divmod(total, 12)
         return MonthKey(year, rem + 1)
 
-    def __add__(self, months: int) -> "MonthKey":
-        if not isinstance(months, int):
-            return NotImplemented
-        return self.shift(months)
-
     def __sub__(self, other: "MonthKey") -> int:
         """Number of months from ``other`` to ``self``."""
         if not isinstance(other, MonthKey):
@@ -66,14 +61,21 @@ def _trusted_replace(obj, **changes):
     return new
 
 
+def _read_only(values, dtype=np.float64) -> np.ndarray:
+    """A read-only view of a private copy of ``values``: a view of a
+    read-only base can never be made writeable, and shares no caller's array."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr.view()
+
+
 def _freeze(values: Iterable[float]) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = _read_only(values)
     if arr.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("values contain NaN or infinite entries")
-    arr.flags.writeable = False
-    return arr.view()  # a view of a read-only base can never be made writeable
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

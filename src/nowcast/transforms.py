@@ -52,11 +52,6 @@ class OneHotVector:
         if sum(self.components) != 1:
             raise ValueError("exactly one component must be 1")
 
-    @property
-    def month_number(self) -> int:
-        """1-based month this vector encodes."""
-        return self.components.index(1) + 1
-
 
 def one_hot_month(month: MonthKey) -> OneHotVector:
     """Encode a calendar month as a 12-component indicator vector."""

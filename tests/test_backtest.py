@@ -73,10 +73,6 @@ class TestDirectionalAccuracy:
 
 
 class TestConfig:
-    def test_horizon_fixed_to_one(self):
-        with pytest.raises(InvalidParamsError):
-            BacktestConfig(30, Approach.MONTH_ONEHOT, ExtraTreesParams(), horizon_months=2)
-
     @pytest.mark.parametrize("approach,floor", [("A", 24), ("B", 13)])
     def test_min_train_floors(self, approach, floor):
         BacktestConfig(floor, Approach(approach), ExtraTreesParams())
@@ -290,6 +286,7 @@ class TestReportOutputs:
             "r_squared_transformed",
         }
         assert doc["config"]["approach"] == "B"
+        assert doc["config"]["horizon_months"] == 1
         assert len(doc["predictions"]) == len(report.records)
         first = doc["predictions"][0]
         assert set(first) == {

@@ -208,6 +208,11 @@ class TestImportances:
         assert sum(feature_importances(model).values()) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0 for v in feature_importances(model).values())
 
+    def test_model_needs_one_importance_per_feature(self):
+        model = fit(random_table(25, 3, seed=43), ExtraTreesParams(n_trees=2, seed=43))
+        with pytest.raises(InvalidParamsError):
+            ExtraTreesModel(model.trees, model.params, model.feature_names, [0.5, 0.5])
+
 
 class TestPredict:
     def test_missing_feature_rejected(self):
@@ -325,6 +330,11 @@ class TestMalformedDocuments:
             pytest.param(lambda d: d["trees"][0].update(threshold="x"), id="text-threshold"),
             pytest.param(lambda d: first_leaf(d).update(value=math.inf), id="inf-leaf-value"),
             pytest.param(lambda d: d.update(importances=[1.0]), id="importances-length"),
+            pytest.param(lambda d: d["params"].update(n_trees=0), id="zero-trees"),
+            pytest.param(lambda d: d["params"].update(seed=-1), id="negative-seed"),
+            pytest.param(lambda d: d["params"].update(min_samples_split=1), id="min-split-one"),
+            pytest.param(lambda d: d["importances"].__setitem__(0, math.nan), id="nan-importance"),
+            pytest.param(lambda d: d["feature_names"].__setitem__(0, 1), id="integer-name"),
         ],
     )
     def test_rejected_with_domain_error(self, corrupt):

@@ -62,9 +62,6 @@ class TestMonthKey:
         key = MonthKey(year, month)
         assert key.shift(n) - key == n
 
-    def test_add_operator(self):
-        assert MonthKey(2020, 1) + 12 == MonthKey(2021, 1)
-
     def test_parse_strips_surrounding_whitespace(self):
         assert MonthKey.parse(" 2020-01\t") == MonthKey(2020, 1)
 

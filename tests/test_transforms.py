@@ -139,7 +139,6 @@ class TestOneHot:
         v = one_hot_month(MonthKey(2021, month))
         assert sum(v.components) == 1
         assert v.components[month - 1] == 1
-        assert v.month_number == month
 
 
 def level_table(n_rows, n_features=2, seed=0, start=MonthKey(2014, 1)):
