@@ -14,8 +14,16 @@ invariants; :func:`model_from_dict` only decodes, and maps their
 :class:`InvalidParamsError` to :class:`InvalidModelError`.
 
 Determinism contract: all randomness flows from numpy's PCG64 bit
-generator. Tree ``i`` draws from ``PCG64(seed ^ i)``, and the trees are
-built one after another in index order.
+generator. Tree ``i`` draws from ``PCG64(seed ^ i)``. :func:`fit` grows its
+trees in lockstep, each step expanding the next node of every unfinished
+tree as batched numpy; each tree still visits its nodes depth first, left
+child first, and its draws are replayed from its own stream's raw words in
+the order of per-node ``Generator`` calls (:class:`_Replay`), so every tree
+has the bits of a build of that tree alone (:func:`grow_tree`). Four sums
+whose bits depend on how they are called stay one call per node: the
+target sum (``np.add.reduce``), the sum of squares (``y @ y``) and the
+two mask products (``y @ masks`` and ``(y * y) @ masks``), see
+:meth:`_Lockstep._expand`.
 """
 
 from __future__ import annotations
@@ -30,11 +38,16 @@ from .errors import (
     InvalidModelError,
     InvalidParamsError,
     MissingFeatureError,
+    NonFiniteError,
     TooShortError,
 )
 from .timeseries import FeatureTable, _read_only
 
 MODEL_SCHEMA_VERSION = 1
+# rows a step of the lockstep builder gathers at once, which bounds its
+# temporary arrays; and PCG64 words buffered per tree between refills
+_ROW_CAP = 1024
+_WORDS = 128
 
 
 @dataclass(frozen=True)
@@ -138,6 +151,14 @@ class _TreeBuilder:
         return Tree(self.feature, self.threshold, self.left, self.right, self.value, self.count)
 
 
+def _fisher_yates(pool: list, offsets: list[int]) -> list:
+    """Pick ``i`` swaps ``pool[i]`` with ``pool[i + offsets[i]]``; returns the picks."""
+    for i, offset in enumerate(offsets):
+        j = i + offset
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[: len(offsets)]
+
+
 class RandomSplitSampler:
     """Split randomness drawn from a numpy Generator (PCG64 in production)."""
 
@@ -152,12 +173,8 @@ class RandomSplitSampler:
         ``Generator.integers`` call with all ``k`` bounds draws the same
         values as ``k`` scalar calls.
         """
-        pool = list(candidates)
-        offsets = self.rng.integers(0, np.arange(len(pool), len(pool) - k, -1))
-        for i, offset in enumerate(offsets.tolist()):
-            j = i + offset
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        offsets = self.rng.integers(0, np.arange(len(candidates), len(candidates) - k, -1))
+        return _fisher_yates(list(candidates), offsets.tolist())
 
     def draw_threshold(self, lo: float, hi: float) -> float:
         """Uniform draw strictly inside (lo, hi).
@@ -188,84 +205,353 @@ def grow_tree(
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    return _build(X, y, k_features, min_samples_split, sampler, np.zeros(X.shape[1]))
+    [tree], _ = _grow(X, y, 1, k_features, min_samples_split, _SamplerDraws(sampler))
+    return tree
 
 
-def _build(
-    X: np.ndarray,
-    y: np.ndarray,
-    k: int,
-    min_split: int,
-    sampler: RandomSplitSampler,
-    acc: np.ndarray,
-) -> Tree:
-    """Grow one tree over C-contiguous float64 ``X`` and ``y``; each split
-    adds its variance reduction, weighted by the fraction of rows passing
-    through the node, to the winning feature's slot of ``acc``.
+class _SamplerDraws:
+    """Split draws taken from a sampler, one call per node and threshold."""
 
-    ``order`` is a permutation of the row indices in which every node owns
-    a contiguous run. A split partitions its run stably, so each node's rows
-    stay in training-row order: a node's sums add the same numbers in the
-    same order as sums over the boolean-mask subset of the training rows,
-    and so round to the same bits.
+    def __init__(self, sampler: RandomSplitSampler):
+        self.sampler = sampler
+
+    def choose(self, trees, candidates, m, kk) -> np.ndarray:
+        width = kk.max()
+        return np.array(
+            [
+                self.sampler.choose_features(c, k) + [0] * (width - k)
+                for c, k in zip(candidates, kk.tolist())
+            ]
+        )
+
+    def thresholds(self, trees, lo, hi, kk) -> np.ndarray:
+        out = np.zeros(lo.shape)
+        for s, (los, his, k) in enumerate(zip(lo.tolist(), hi.tolist(), kk.tolist())):
+            out[s, :k] = [self.sampler.draw_threshold(a, b) for a, b in zip(los[:k], his[:k])]
+        return out
+
+
+class _Replay:
+    """Each tree's PCG64 stream, replayed in vectors from buffered raw words.
+
+    Gives the values, in the same order, that :class:`RandomSplitSampler`
+    calls on a ``Generator`` over the same bit generators would give.
+    ``Generator.integers`` takes a bound below 2**32 by Lemire's rule on
+    32-bit half-words: the low half of a fresh word first, its high half
+    kept for the next 32-bit draw; a bound of 1 draws nothing.
+    ``Generator.random`` takes a whole word as ``(w >> 11) * 2**-53`` and
+    leaves a kept half alone. A node whose draws meet a Lemire rejection
+    or a threshold on an endpoint is redone one draw at a time.
+    """
+
+    def __init__(self, bit_generators: list, reserve: int):
+        self.bit_generators = bit_generators
+        states = [bg.state for bg in bit_generators]
+        # at least ``reserve`` words ready after a refill
+        self.size = _WORDS + reserve
+        self.words = np.zeros((len(bit_generators), self.size), dtype=np.uint64)
+        # per tree: the next unused word, whether a half is kept, the last
+        # high half drawn, and whether the bit generator was read
+        self.pos = np.full(len(bit_generators), self.size)
+        self.kept = np.array([s["has_uint32"] for s in states], dtype=np.intp)
+        self.high = np.array([s["uinteger"] for s in states], dtype=np.uint64)
+        self.read = np.zeros(len(bit_generators), dtype=bool)
+
+    def _refill(self, trees: np.ndarray, need) -> None:
+        """Make at least ``need`` unused words ready for each of ``trees``."""
+        for t in trees[self.size - self.pos[trees] < need].tolist():
+            keep = self.size - self.pos[t]
+            self.words[t, :keep] = self.words[t, self.pos[t] :]
+            self.words[t, keep:] = self.bit_generators[t].random_raw(self.pos[t])
+            self.read[t], self.pos[t] = True, 0
+
+    def _word(self, t: int) -> int:
+        self._refill(np.array([t]), 1)
+        self.pos[t] += 1
+        return int(self.words[t, self.pos[t] - 1])
+
+    def _uint32(self, t: int) -> int:
+        if self.kept[t]:
+            self.kept[t] = 0
+            return int(self.high[t])
+        word = self._word(t)
+        self.kept[t], self.high[t] = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def _bounded(self, t: int, bound: int) -> int:
+        """Lemire's rule: a uniform integer below ``bound``."""
+        product = self._uint32(t) * bound
+        while (product & 0xFFFFFFFF) < 2**32 % bound:
+            product = self._uint32(t) * bound
+        return product >> 32
+
+    def offsets(self, trees: np.ndarray, m: np.ndarray, kk: np.ndarray) -> np.ndarray:
+        """Partial Fisher-Yates offsets: pick ``i`` of node ``s`` draws
+        below ``m[s] - i``, for ``i < kk[s]``; zero past ``kk[s]``."""
+        i = np.arange(kk.max())
+        draws = np.minimum(kk, m - 1)  # picks with a bound above 1
+        drawn = i < draws[:, None]
+        self._refill(trees, (draws + 1) // 2)
+        # half-words in draw order: the kept one (number 2 * pos - 1), then
+        # the low and high halves of each word from ``pos`` on
+        half = (2 * self.pos[trees] - self.kept[trees])[:, None] + i
+        fresh = half >= 2 * self.pos[trees][:, None]
+        words = self.words[trees[:, None], np.where(drawn & fresh, half >> 1, 0)]
+        u = (words >> ((half & 1) * 32).astype(np.uint64)) & np.uint64(0xFFFFFFFF)
+        u = np.where(fresh, u, self.high[trees][:, None])
+        bound = np.where(drawn, m[:, None] - i, 1).astype(np.uint64)
+        product = u * bound
+        out = (product >> np.uint64(32)).astype(np.intp)
+        # Lemire rejects a draw whose low half is below 2**32 % bound, so
+        # below bound: nodes with such a low half are redone one at a time
+        redo = ((product & np.uint64(0xFFFFFFFF)) < bound).any(axis=1)
+
+        done = ~redo & (draws > 0)
+        t, last = trees[done], half[done, 0] + draws[done] - 1
+        # the last high half drawn is new unless the kept half was the only draw
+        new_high = fresh[done, 0] | (draws[done] > 1)
+        self.high[t] = np.where(new_high, self.words[t, last >> 1] >> np.uint64(32), self.high[t])
+        self.pos[t], self.kept[t] = (last >> 1) + 1, 1 - (last & 1)
+        for s in np.flatnonzero(redo).tolist():
+            t, n, d = int(trees[s]), int(m[s]), int(draws[s])
+            out[s] = [self._bounded(t, n - j) if j < d else 0 for j in i.tolist()]
+        return out
+
+    def choose(self, trees, candidates, m, kk) -> np.ndarray:
+        """``RandomSplitSampler.choose_features(candidates[s], kk[s])`` for
+        each node ``s`` (``m[s]`` candidates), padded with zeros."""
+        offsets, width = self.offsets(trees, m, kk).tolist(), kk.max()
+        return np.array(
+            [
+                _fisher_yates(c, o[:k]) + [0] * (width - k)
+                for c, o, k in zip(candidates, offsets, kk.tolist())
+            ]
+        )
+
+    def thresholds(self, trees, lo, hi, kk) -> np.ndarray:
+        """``RandomSplitSampler.draw_threshold(lo[s, i], hi[s, i])`` for
+        ``i < kk[s]``; entries past ``kk[s]`` mean nothing."""
+        i = np.arange(lo.shape[1])
+        drawn = i < kk[:, None]
+        self._refill(trees, kk)
+        at = np.where(drawn, self.pos[trees][:, None] + i, 0)
+        out = lo + (hi - lo) * ((self.words[trees[:, None], at] >> np.uint64(11)) * 2.0**-53)
+        redraw = (drawn & ~((lo < out) & (out < hi))).any(axis=1)
+        self.pos[trees[~redraw]] += kk[~redraw]
+        for s in np.flatnonzero(redraw).tolist():
+            t = int(trees[s])
+            for j in range(kk[s]):
+                a, b = float(lo[s, j]), float(hi[s, j])
+                while True:
+                    x = a + (b - a) * ((self._word(t) >> 11) * 2.0**-53)
+                    if a < x < b:
+                        break
+                out[s, j] = x
+        return out
+
+    def hand_off(self) -> None:
+        """Leave each bit generator where per-node calls would have left it."""
+        for t in np.flatnonzero(self.read).tolist():
+            bg = self.bit_generators[t]
+            bg.advance(int(self.pos[t]) - self.size)  # back over the unused words
+            state = bg.state
+            state["has_uint32"], state["uinteger"] = int(self.kept[t]), int(self.high[t])
+            bg.state = state
+
+
+def _grow(X, y, n_trees, k, min_split, draws) -> tuple[list[Tree], np.ndarray]:
+    """Grow ``n_trees`` trees over C-contiguous float64 ``X`` and ``y``,
+    with split draws from ``draws``. Returns the trees and, per tree, each
+    feature's summed variance reductions, each split's weighted by the
+    fraction of rows passing through its node.
     """
     n_total, p = X.shape
-    # [X | y | -X | -y]: one column-wise minimum over a node's rows gives
-    # every column's min and (negated) max; never needed when the root is a leaf
-    signed = np.hstack((X, y[:, None], -X, -y[:, None])) if n_total >= min_split else None
-    order = np.arange(n_total)
-    nodes = _TreeBuilder()
-    stack = [(0, n_total, -1, True)]
-    while stack:
-        start, end, parent, is_left = stack.pop()
+    if n_total < min_split:  # every root is a leaf
+        leaf = Tree([-1], [math.nan], [-1], [-1], [float(np.add.reduce(y)) / n_total], [n_total])
+        return [leaf] * n_trees, np.zeros((n_trees, p))
+    forest = _Lockstep(X, y, n_trees, k, min_split, draws)
+    while forest.step():
+        pass
+    return forest.trees(), forest.importance
+
+
+def _widen(a: np.ndarray, fill) -> np.ndarray:
+    """``a`` with its second axis doubled, the new entries ``fill``."""
+    return np.concatenate((a, np.full_like(a, fill)), axis=1)
+
+
+class _Lockstep:
+    """Trees grown together: each step expands the next node of every
+    unfinished tree, as batched numpy over chunks of about ``_ROW_CAP`` rows.
+
+    A tree's nodes are still taken depth first, left child first, so its
+    draws, splits and importance sums come in the order of a build of that
+    tree alone. A node's id is its tree's node count when it is taken: the
+    left child of split ``i`` is ``i + 1``, and a right child is linked to
+    its parent when it is taken.
+
+    ``order[t]`` is a permutation of the row indices in which every node of
+    tree ``t`` owns a contiguous run. A split partitions its run stably, so
+    each node's rows stay in training-row order: a node's sums add the same
+    numbers in the same order as sums over the boolean-mask subset of the
+    training rows, and so round to the same bits.
+    """
+
+    def __init__(self, X, y, n_trees, k, min_split, draws):
+        n_total, p = X.shape
+        self.X, self.y, self.k, self.min_split, self.draws = X, y, k, min_split, draws
+        self.Xy = np.hstack((X, y[:, None]))
+        # node arrays, widened as the trees grow: ``number`` is a split's
+        # threshold or a leaf's value, and left children are implied
+        self.feature = np.full((n_trees, 32), -1, dtype=np.int32)
+        self.right = np.full((n_trees, 32), -1, dtype=np.int32)
+        self.count = np.zeros((n_trees, 32), dtype=np.int32)
+        self.number = np.zeros((n_trees, 32))
+        self.nodes = np.zeros(n_trees, dtype=np.intp)
+        self.importance = np.zeros((n_trees, p))
+        self.order = np.empty((n_trees, n_total), dtype=np.intp)
+        self.order[:] = np.arange(n_total)
+        # pending nodes, (start, end, parent if a right child else -1)
+        self.stack = np.empty((n_trees, 8, 3), dtype=np.intp)
+        self.stack[:, 0] = (0, n_total, -1)
+        self.depth = np.ones(n_trees, dtype=np.intp)
+
+    def trees(self) -> list[Tree]:
+        out = []
+        for t, size in enumerate(self.nodes.tolist()):
+            feature, number = self.feature[t, :size], self.number[t, :size]
+            split = feature >= 0
+            out.append(
+                Tree(
+                    feature,
+                    np.where(split, number, math.nan),
+                    np.where(split, np.arange(1, size + 1), -1),
+                    self.right[t, :size],
+                    np.where(split, math.nan, number),
+                    self.count[t, :size],
+                )
+            )
+        return out
+
+    def step(self) -> bool:
+        """Take and expand the next node of every unfinished tree; False
+        when every tree is finished."""
+        trees = np.flatnonzero(self.depth)
+        if not trees.size:
+            return False
+        self.depth[trees] -= 1
+        start, end, parent = self.stack[trees, self.depth[trees]].T
+        node = self.nodes[trees]
+        self.nodes[trees] += 1
+        if node.max() == self.feature.shape[1]:
+            self.feature, self.right = _widen(self.feature, -1), _widen(self.right, -1)
+            self.count, self.number = _widen(self.count, 0), _widen(self.number, 0)
+        linked = parent >= 0
+        self.right[trees[linked], parent[linked]] = node[linked]
         n = end - start
-        rows = order[start:end]
-        yn = y.take(rows)
-        if n < min_split:
-            nodes.add(parent, is_left, -1, math.nan, float(yn.sum()) / n, n)
-            continue
-        xn = signed.take(rows, axis=0)
-        ext = np.minimum.reduce(xn, axis=0).tolist()
-        lo, hi = ext[:p], [-v for v in ext[p + 1 : 2 * p + 1]]
+        self.count[trees, node] = n
+        # trees are independent, so any grouping gives the same trees
+        chunk = (np.cumsum(n) - n) // _ROW_CAP
+        for part in np.split(np.arange(trees.size), np.flatnonzero(np.diff(chunk)) + 1):
+            self._expand(trees[part], node[part], start[part], n[part])
+        return True
+
+    def _expand(self, trees, node, start, n) -> None:
+        """Make each node a leaf, or split it and push its children."""
+        X, y, p = self.X, self.y, self.X.shape[1]
+        n_total = self.order.shape[1]
+        first = np.cumsum(n) - n  # each node's first row among the gathered ones
+        segment = np.repeat(np.arange(n.size), n)
+        at = np.repeat(trees * n_total + start - first, n) + np.arange(segment.size)
+        rows = self.order.reshape(-1)[at]
+        yn = y[rows]
+        xy = self.Xy[rows]
+        lo, hi = np.minimum.reduceat(xy, first, axis=0), np.maximum.reduceat(xy, first, axis=0)
+        del xy
         # a feature qualifies when some float lies strictly between its min
         # and max over the node sample, so a threshold can separate the rows
-        candidates = [j for j in range(p) if math.nextafter(lo[j], hi[j]) < hi[j]]
-        if ext[p] == -ext[-1] or not candidates:
-            nodes.add(parent, is_left, -1, math.nan, float(yn.sum()) / n, n)
-            continue
+        qualifies = np.nextafter(lo[:, :p], hi[:, :p]) < hi[:, :p]
+        m = qualifies.sum(axis=1)
+        split = (n >= self.min_split) & (lo[:, p] != hi[:, p]) & (m > 0)
 
-        chosen = sampler.choose_features(candidates, min(k, len(candidates)))
-        thresholds = [sampler.draw_threshold(lo[j], hi[j]) for j in chosen]
+        leaf = ~split
+        runs = zip(first[leaf].tolist(), n[leaf].tolist())
+        sums = [np.add.reduce(yn[a : a + c]) for a, c in runs]
+        self.number[trees[leaf], node[leaf]] = np.array(sums) / n[leaf]
+        if not split.any():
+            return
+
+        keep = split[segment]
+        rows, yn, at = rows[keep], yn[keep], at[keep]
+        trees, node, start, n, lo, hi, m = (v[split] for v in (trees, node, start, n, lo, hi, m))
+        first = np.cumsum(n) - n
+        segment = np.repeat(np.arange(n.size), n)
+        kk = np.minimum(self.k, m)
+        # each node's qualifying features, in feature order
+        features, ends = np.nonzero(qualifies[split])[1].tolist(), np.cumsum(m).tolist()
+        candidates = [features[e - c : e] for e, c in zip(ends, m.tolist())]
+        chosen = self.draws.choose(trees, candidates, m, kk)
+        s = np.arange(n.size)
+        thresholds = self.draws.thresholds(
+            trees, lo[s[:, None], chosen], hi[s[:, None], chosen], kk
+        )
 
         # variance reduction of every candidate, written in terms of each
-        # side's row count, sum and sum of squares. The BLAS products below
-        # sum in an order that depends on the masks' memory layout, so the
-        # bits rest on building them exactly this way (golden test).
-        masks = xn[:, chosen] < thresholds  # (n, k)
-        y_sum, ysq_sum = float(yn.sum()), float(yn @ yn)
-        counts = masks.sum(axis=0).tolist()
-        sums = (yn @ masks).tolist()
-        squares = ((yn * yn) @ masks).tolist()
-        parent_var = (ysq_sum - y_sum**2 / n) / n
-        for i, (n_left, left_sum, left_sq) in enumerate(zip(counts, sums, squares)):
-            sse_left = left_sq - left_sum * left_sum / n_left
-            right_sum = y_sum - left_sum
-            sse_right = (ysq_sum - left_sq) - right_sum * right_sum / (n - n_left)
-            score = parent_var - (sse_left + sse_right) / n
-            # the first maximum wins, so ties keep the earliest-drawn
-            # candidate; as in np.argmax, the first NaN beats any number
-            if i == 0 or score > best_score or (score != score and best_score == best_score):
-                best, best_score, best_left = i, score, n_left
+        # side's row count, sum and sum of squares
+        drawn = np.arange(chosen.shape[1]) < kk[:, None]
+        below = X.reshape(-1).take(rows[:, None] * p + chosen[segment]) < thresholds[segment]
+        n_left = np.where(drawn, np.add.reduceat(below, first, axis=0, dtype=np.intp), 1)
+        # Sums whose bits depend on how they are called stay one call per
+        # node, on views: the BLAS products add in an order that depends on
+        # the shapes, so each node's masks are a C-contiguous float64
+        # (rows, kk) block, as in a build of one node at a time.
+        masks = below[drawn[segment]].astype(np.float64)
+        block = np.cumsum(n * kk) - n * kk
+        ysq = yn * yn
+        y_sum, ysq_sum, left_sum, left_sq = [], [], [], []
+        for a, c, b, w in zip(first.tolist(), n.tolist(), block.tolist(), kk.tolist()):
+            yv, mv = yn[a : a + c], masks[b : b + c * w].reshape(c, w)
+            y_sum.append(np.add.reduce(yv))
+            ysq_sum.append(yv @ yv)
+            left_sum.append(yv @ mv)
+            left_sq.append(ysq[a : a + c] @ mv)
+        y_sum, ysq_sum = np.array(y_sum), np.array(ysq_sum)
+        # Python's ** (C pow) here, as numpy's square can round differently
+        parent_var = np.array(
+            [(q - t**2 / c) / c for t, q, c in zip(y_sum.tolist(), ysq_sum.tolist(), n.tolist())]
+        )
+        sums, squares = np.zeros(drawn.shape), np.zeros(drawn.shape)
+        sums[drawn], squares[drawn] = np.concatenate(left_sum), np.concatenate(left_sq)
+        y_sum, ysq_sum, rows_n = y_sum[:, None], ysq_sum[:, None], n[:, None]
+        sse_left = squares - sums * sums / n_left
+        right_sum = y_sum - sums
+        sse_right = (ysq_sum - squares) - right_sum * right_sum / (rows_n - n_left)
+        score = parent_var[:, None] - (sse_left + sse_right) / rows_n
+        # the first maximum wins, so ties keep the earliest-drawn candidate
+        best = np.where(drawn, score, -math.inf).argmax(axis=1)
 
+        feature, best_score = chosen[s, best], score[s, best]
+        self.feature[trees, node] = feature
+        self.number[trees, node] = thresholds[s, best]
         # reductions are nonnegative in exact arithmetic; guard float rounding
-        acc[chosen[best]] += (n / n_total) * max(best_score, 0.0)
-        node = nodes.add(parent, is_left, chosen[best], thresholds[best], math.nan, n)
-        mask = masks[:, best]
-        rows[:] = np.concatenate((rows[mask], rows[~mask]))
-        mid = start + best_left
-        stack.append((mid, end, node, False))
-        stack.append((start, mid, node, True))
-    return nodes.freeze()
+        self.importance[trees, feature] += (n / n_total) * np.where(
+            best_score < 0.0, 0.0, best_score
+        )
+        # a stable partition of each node's rows, left rows first
+        goes_left = below[np.arange(rows.size), best[segment]]
+        local = np.arange(rows.size) - first[segment]
+        left_rank = np.cumsum(goes_left) - goes_left
+        left_rank -= left_rank[first][segment]
+        n_left = n_left[s, best]
+        right_rank = n_left[segment] + local - left_rank
+        self.order.reshape(-1)[at - local + np.where(goes_left, left_rank, right_rank)] = rows
+        mid = start + n_left
+        depth = self.depth[trees]
+        if depth.max() + 2 > self.stack.shape[1]:
+            self.stack = _widen(self.stack, 0)
+        self.stack[trees, depth] = np.stack((mid, start + n, node), axis=1)
+        self.stack[trees, depth + 1] = np.stack((start, mid, np.full_like(node, -1)), axis=1)
+        self.depth[trees] += 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +591,10 @@ def fit(
 ) -> ExtraTreesModel:
     """Train an ensemble on a table's feature columns against its target.
 
-    Trees are built one after another on the calling thread. ``n_threads``
-    is accepted for compatibility and ignored.
+    Trees are grown together on the calling thread. ``n_threads`` is
+    accepted for compatibility and ignored. Raises :class:`NonFiniteError`
+    when the targets are too large for a node's sums of squares to stay
+    finite.
     """
     if table.target is None:
         raise InvalidParamsError("fit requires the table's target to be set")
@@ -325,14 +613,28 @@ def fit(
             f"k_features={k} exceeds the {X.shape[1]} available features"
         )
 
-    trees = []
+    # every node's sums, squares and scores stay finite while 4 * s**2 does
+    try:
+        scale = math.fsum(np.abs(y).tolist())
+        finite = math.isfinite(4 * scale * scale)
+    except OverflowError:  # fsum overflowed
+        finite = False
+    if not finite:
+        raise NonFiniteError(
+            "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
+        )
+
+    samplers = (
+        RandomSplitSampler(np.random.Generator(np.random.PCG64(params.seed ^ i)))
+        for i in range(params.n_trees)
+    )
+    replay = _Replay([sampler.rng.bit_generator for sampler in samplers], k)
+    trees, per_tree = _grow(X, y, params.n_trees, k, params.min_samples_split, replay)
+    replay.hand_off()
     # each tree's importances are summed on their own, then added in tree
     # order; normalized across the whole ensemble (all zero when no split exists)
     acc = np.zeros(X.shape[1], dtype=np.float64)
-    for i in range(params.n_trees):
-        sampler = RandomSplitSampler(np.random.Generator(np.random.PCG64(params.seed ^ i)))
-        tree_acc = np.zeros(X.shape[1], dtype=np.float64)
-        trees.append(_build(X, y, k, params.min_samples_split, sampler, tree_acc))
+    for tree_acc in per_tree:
         acc += tree_acc
     total = acc.sum()
     importances = acc / total if total > 0 else acc

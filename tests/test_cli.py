@@ -205,6 +205,18 @@ class TestBacktestCommand:
         assert code == 1
         assert "common months" in err
 
+    def test_targets_too_large_to_fit_exit_one(self, synth_dir, tmp_path, capsys):
+        # finite levels whose differences square beyond the float range
+        target = synth_dir / "target.csv"
+        header, *rows = target.read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        scaled = [f"{month},{float(value) * 1e151!r}" for month, value in cells]
+        target.write_text("\n".join([header, *scaled]) + "\n")
+        code, out, err = run(backtest_args(synth_dir, tmp_path / "x"), capsys)
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: fit targets are too large")
+
     def test_malformed_target_exits_one_naming_file_and_line(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "target.csv").read_text().splitlines(keepends=True)
         lines[2] = lines[2].split(",")[0] + ",n/a\n"

@@ -11,6 +11,7 @@ from nowcast.errors import (
     InvalidModelError,
     InvalidParamsError,
     MissingFeatureError,
+    NonFiniteError,
     NowcastError,
     TooShortError,
 )
@@ -98,6 +99,15 @@ class TestFit:
         one_row = t.slice(t.start, t.start)
         with pytest.raises(TooShortError):
             fit(one_row, ExtraTreesParams(n_trees=1))
+
+    def test_targets_too_large_to_score_raise_a_domain_error(self):
+        # finite targets whose sums of squares overflow: a NonFiniteError
+        # before any tree is grown (numpy overflow warnings fail the test)
+        table = random_table(30, 3, seed=4)
+        columns = dict(table.columns)
+        columns["y"] = columns["y"] * 1e153
+        with pytest.raises(NonFiniteError):
+            fit(FeatureTable(table.months, columns, target="y"), ExtraTreesParams(n_trees=2))
 
     def test_memorizes_training_set(self):
         table = random_table(20, 3, seed=9)
@@ -512,3 +522,111 @@ class TestGrowTreeMatchesFit:
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
             [used] = made
             assert used.rng.bit_generator.state == sampler.rng.bit_generator.state
+
+
+@st.composite
+def draw_sequences(draw):
+    """Per step, one kind of draw for a random subset of 1-3 streams."""
+    n_streams = draw(st.integers(1, 3))
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["choose", "huge-bounds", "threshold", "two-ulp"]))
+        streams = draw(st.lists(st.integers(0, n_streams - 1), min_size=1, unique=True))
+        ops = []
+        for _ in streams:
+            if kind == "choose":
+                m = draw(st.integers(1, 20))
+                ops.append((m, draw(st.integers(1, m))))
+            elif kind == "huge-bounds":
+                # Lemire's rule rejects about a quarter of the draws below
+                # bounds near 3 * 2**30
+                ops.append((3 * 2**30 + draw(st.integers(-50, 50)), draw(st.integers(1, 6))))
+            else:
+                ranges = []
+                for _ in range(draw(st.integers(1, 3))):
+                    lo = draw(st.floats(-1e6, 1e6, allow_nan=False))
+                    hi = math.nextafter(math.nextafter(lo, math.inf), math.inf)
+                    if kind == "threshold":
+                        hi = lo + draw(st.floats(1e-3, 1e3))
+                    ranges.append((lo, hi))
+                ops.append(ranges)
+        steps.append((kind, sorted(streams), ops))
+    return n_streams, steps
+
+
+class TestReplay:
+    @settings(max_examples=150, deadline=None)
+    @given(sequence=draw_sequences(), seed=st.integers(0, 2**64 - 1))
+    def test_replay_equals_generator_calls(self, sequence, seed):
+        # the lockstep builder's draws, replayed from raw PCG64 words for
+        # several streams at once, equal RandomSplitSampler calls on one
+        # Generator per stream, value for value and in the final state
+        n_streams, steps = sequence
+        samplers = [
+            RandomSplitSampler(np.random.Generator(np.random.PCG64(seed ^ i)))
+            for i in range(n_streams)
+        ]
+        replayed = [np.random.PCG64(seed ^ i) for i in range(n_streams)]
+        replay = extratrees._Replay(replayed, reserve=6)
+        for kind, streams, ops in steps:
+            trees = np.array(streams)
+            if kind == "choose":
+                m, kk = np.array([op[0] for op in ops]), np.array([op[1] for op in ops])
+                chosen = replay.choose(trees, [list(range(c)) for c in m.tolist()], m, kk)
+                for row, t, (c, k) in zip(chosen.tolist(), streams, ops):
+                    assert row[:k] == samplers[t].choose_features(list(range(c)), k)
+            elif kind == "huge-bounds":
+                # the offsets choose_features would draw from a pool of m
+                m, kk = np.array([op[0] for op in ops]), np.array([op[1] for op in ops])
+                offsets = replay.offsets(trees, m, kk)
+                for row, t, (c, k) in zip(offsets.tolist(), streams, ops):
+                    expected = samplers[t].rng.integers(0, np.arange(c, c - k, -1))
+                    assert row[:k] == expected.tolist()
+            else:
+                # each node's ranges, padded to the widest with (0, 1)
+                kk = np.array([len(ranges) for ranges in ops])
+                padded = [ranges + [(0.0, 1.0)] * (kk.max() - len(ranges)) for ranges in ops]
+                lo, hi = np.array(padded)[:, :, 0], np.array(padded)[:, :, 1]
+                drawn = replay.thresholds(trees, lo, hi, kk)
+                for row, t, ranges in zip(drawn.tolist(), streams, ops):
+                    assert row[: len(ranges)] == [
+                        samplers[t].draw_threshold(a, b) for a, b in ranges
+                    ]
+        replay.hand_off()
+        for sampler, bit_generator in zip(samplers, replayed):
+            assert bit_generator.state == sampler.rng.bit_generator.state
+
+
+class TestLockstep:
+    @pytest.mark.parametrize(
+        "table,min_split,k,chunked",
+        [
+            (step_table(), 3, None, False),
+            (step_table(), 5, 2, False),
+            (random_table(40, 4, seed=91), 4, None, False),
+            (random_table(40, 4, seed=92), 3, 1, False),
+            # 7 trees of 200 rows: the first steps are split into chunks
+            (random_table(200, 3, seed=93), 5, None, True),
+        ],
+        ids=["steps", "steps-k2", "random", "random-k1", "chunked"],
+    )
+    def test_trees_and_importances_equal_one_tree_at_a_time(self, table, min_split, k, chunked):
+        seed = 2**63 + 11
+        params = ExtraTreesParams(n_trees=7, k_features=k, min_samples_split=min_split, seed=seed)
+        model = fit(table, params)
+        X, y = table.matrix(table.feature_names), table.target_values()
+        assert (len(y) * params.n_trees > extratrees._ROW_CAP) == chunked
+        acc = np.zeros(X.shape[1])
+        sizes = set()
+        for i, fitted in enumerate(model.trees):
+            sampler = RandomSplitSampler(np.random.Generator(np.random.PCG64(seed ^ i)))
+            draws = extratrees._SamplerDraws(sampler)
+            [grown], [tree_acc] = extratrees._grow(X, y, 1, k or X.shape[1], min_split, draws)
+            for name in ("feature", "threshold", "left", "right", "value", "count"):
+                ours, theirs = getattr(fitted, name), getattr(grown, name)
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+            acc += tree_acc
+            sizes.add(fitted.feature.size)
+        assert model.importances.tobytes() == (acc / acc.sum()).tobytes()
+        # trees of different sizes end at different steps
+        assert len(sizes) > 1
