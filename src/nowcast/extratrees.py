@@ -500,6 +500,7 @@ class _Lockstep:
         # side's row count, sum and sum of squares
         drawn = np.arange(chosen.shape[1]) < kk[:, None]
         below = X.reshape(-1).take(rows[:, None] * p + chosen[segment]) < thresholds[segment]
+        # 1 past a node's kk keeps the padding's divisions finite
         n_left = np.where(drawn, np.add.reduceat(below, first, axis=0, dtype=np.intp), 1)
         # Sums whose bits depend on how they are called stay one call per
         # node, on views: the BLAS products add in an order that depends on
