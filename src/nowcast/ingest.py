@@ -21,9 +21,16 @@ its record type's fields.
 A scan holds one row at a time. Across rows it keeps only what a rule
 needs: the unique keys seen so far, the last ordered value and, for
 ``validate``, one compact buffer of lines and values per outlier column.
-It always reads the file to its end, so a file that fails to decode as
-UTF-8 or to split into CSV fields anywhere raises
+Each column's check is built from its :class:`Column` once per scan, and
+each column but a real-valued one remembers up to ``_KNOWN_CELLS`` good
+cells by their raw text, so a repeated cell is not parsed again. A row
+that passes every check builds no :class:`Finding`; a row that fails is
+checked again cell by cell, by the same checks, for one finding per bad
+cell. A scan always reads the file to its end, so a file that fails to
+decode as UTF-8 or to split into CSV fields anywhere raises
 :class:`UnreadableFileError`, even when an earlier row is bad.
+:meth:`ValidationReport.write_json` writes a report's JSON one finding at
+a time, in the layout of ``json.dumps(report.to_dict(), indent=2)``.
 """
 
 from __future__ import annotations
@@ -31,13 +38,14 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime as dt
+import io
 import json
 import logging
 import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -212,6 +220,13 @@ class Finding:
     message: str
 
 
+# one finding as ``json.dumps(report.to_dict(), indent=2)`` lays it out
+_FINDING_JSON = (
+    '    {\n      "column": %s,\n      "row": %d,\n      "kind": %s,\n'
+    '      "severity": %s,\n      "message": %s\n    }'
+)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     schema: str
@@ -242,7 +257,30 @@ class ValidationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        out = io.StringIO()
+        self.write_json(out)
+        return out.getvalue()
+
+    def write_json(self, fh: TextIO) -> None:
+        """Write :meth:`to_dict` to ``fh`` as ``json.dumps(..., indent=2)``
+        lays it out, one finding at a time."""
+        quote = json.encoder.encode_basestring_ascii
+        head = (
+            ("schema_version", VALIDATION_SCHEMA_VERSION),
+            ("schema", self.schema),
+            ("path", self.path),
+            ("passed", self.passed),
+        )
+        fh.write("{\n" + "".join(f"  {quote(k)}: {json.dumps(v)},\n" for k, v in head))
+        fh.write('  "findings": [')
+        separator = "\n"
+        for f in self.findings:
+            fields = (quote(f.column), f.row, quote(f.kind), quote(f.severity), quote(f.message))
+            fh.write(separator + _FINDING_JSON % fields)
+            separator = ",\n"
+        fh.write("\n  ]" if self.findings else "]")
+        summary = json.dumps(self.column_summary(), indent=2).replace("\n", "\n  ")
+        fh.write(f',\n  "column_summary": {summary}\n}}')
 
 
 def _rows(path) -> Iterator[list[str]]:
@@ -254,15 +292,59 @@ def _rows(path) -> Iterator[list[str]]:
         raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
 
 
+# good cells a column remembers by their raw text; it starts over when full
+_KNOWN_CELLS = 4096
+
+
+def _cell(c: Column, i: int, shared: dict[str, str] | None) -> tuple[Callable, Callable]:
+    """How cell ``i`` of a row is taken as column ``c``: ``(known, check)``.
+
+    ``check(row)`` strips the cell, shares its text through ``shared`` when
+    given and writes the text back into the row (the unique-key rule reads
+    it there), then parses and bounds it. It returns ``(text, value)`` or
+    raises ``_BadCell``. A cell's text and value depend on its raw text
+    alone, so a good cell is remembered by its raw text, and ``known(raw)``
+    gives the same pair back without the work (``None`` for a cell not
+    remembered).
+    """
+    parse, required, minimum = c.parse, c.required, c.minimum
+    # a measurement rarely repeats its text, so its cells are not remembered
+    remember = parse is not _real
+    remembered: dict[str, tuple[str, Any]] = {}
+
+    def check(row: list[str]) -> tuple[str, Any]:
+        raw = row[i]
+        text = raw.strip()
+        if shared is not None:
+            text = shared.setdefault(text, text)
+        row[i] = text
+        if not text and required:
+            raise _BadCell("missing_value", "cell is empty")
+        value = parse(text)
+        if minimum is not None and value < minimum:
+            raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
+        if remember:
+            if len(remembered) == _KNOWN_CELLS:
+                remembered.clear()
+            remembered[raw] = (text, value)
+        return text, value
+
+    return remembered.get, check
+
+
 def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]]:
     """Yield ``(line, values, findings)`` for each data row, in file order.
 
     ``values`` are the row's cells parsed in header order, ``None`` where a
     cell is bad, or ``None`` as a whole for a wrong field count and for the
     file-level findings: a wrong header (which ends the scan), no data rows.
-    Rows are read one at a time, and the file is always read to its end, so
-    a failure to read any part of it raises ``UnreadableFileError`` however
-    the consumer treats the findings before it.
+    Each cell is taken by its column's check (:func:`_cell`), built once
+    per scan. A row whose cells all pass builds no finding; a row with a
+    bad cell is taken again cell by cell, by the same checks, for one
+    finding per bad cell in column order. Rows are read one at a time, and
+    the file is always read to its end, so a failure to read any part of it
+    raises ``UnreadableFileError`` however the consumer treats the findings
+    before it.
     """
     rows = _rows(path)
     header = next(rows, None)
@@ -276,19 +358,18 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
         return
     width = len(spec.header)
     index = {name: i for i, name in enumerate(spec.header)}
-    cells = []
-    for c in spec.columns:
-        # a file repeats few month and date texts, and they are dear to parse
-        memo = {} if c.parse in (_month, _date) else None
-        share = c.parse is str or c.name in spec.unique
-        cells.append((c.name, index[c.name], c.parse, c.required, c.minimum, memo, share))
     # one object per distinct text of the text and key columns, which the
     # records and ``seen`` then share
     shared: dict[str, str] = {}
-    key = [index[name] for name in spec.unique]
+    cells = []
+    for c in spec.columns:
+        share = c.parse is str or c.name in spec.unique
+        cells.append((c.name, index[c.name], *_cell(c, index[c.name], shared if share else None)))
     # the line that first had each key, nested one dict per key column so
     # that no row leaves a key tuple behind
     seen: dict = {}
+    key = [index[name] for name in spec.unique]
+    *outer, last = key or [None]
     ordered = (spec.increasing, spec.contiguous, spec.saturdays)
     increasing, contiguous, saturdays = map(index.get, ordered)
     last_increasing = last_contiguous = None
@@ -298,36 +379,27 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
             message = f"expected {width} fields, got {len(row)}"
             yield line, None, [Finding("<row>", line, "field_count", "error", message)]
             continue
-        values: list = [None] * width
         found: list[Finding] = []
-        for name, i, parse, required, minimum, memo, share in cells:
-            text = row[i].strip()
-            if share:
-                text = shared.setdefault(text, text)
-            row[i] = text  # in place: the key below reads the stripped texts
-            try:
-                if not text and required:
-                    raise _BadCell("missing_value", "cell is empty")
-                if memo is None:
-                    value = parse(text)
-                elif (value := memo.get(text)) is None:
-                    value = memo[text] = parse(text)
-                if minimum is not None and value < minimum:
-                    raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
-            except _BadCell as bad:
-                found.append(Finding(name, line, bad.args[0], "error", bad.args[1]))
-            else:
-                values[i] = value
+        try:  # the whole row, building nothing, up to its first bad cell
+            values = [None] * width
+            for _, i, known, check in cells:
+                row[i], values[i] = known(row[i]) or check(row)
+        except _BadCell:  # then again, cell by cell, to say what is wrong
+            values = [None] * width
+            for name, i, known, check in cells:
+                try:
+                    row[i], values[i] = known(row[i]) or check(row)
+                except _BadCell as bad:
+                    found.append(Finding(name, line, bad.args[0], "error", bad.args[1]))
         if key and values[key[0]] is not None:
-            *outer, last = texts = [row[i] for i in key]
             level = seen
-            for text in outer:
-                if (inner := level.get(text)) is None:
-                    inner = level[text] = {}
+            for i in outer:
+                if (inner := level.get(row[i])) is None:
+                    inner = level[row[i]] = {}
                 level = inner
-            first = level.setdefault(last, line)
+            first = level.setdefault(row[last], line)
             if first != line:
-                repeat = spec.duplicate.format(*texts)
+                repeat = spec.duplicate.format(*[row[i] for i in key])
                 message = f"{repeat} (first at line {first})"
                 found.append(Finding(spec.unique[0], line, "duplicate", "error", message))
         if increasing is not None and (value := values[increasing]) is not None:
@@ -416,7 +488,8 @@ def _read(path, spec: Schema) -> list:
                 error = f
                 break
         else:
-            records.append(spec.record(*values))
+            # a good row has one value per field, in the record's order
+            records.append(tuple.__new__(spec.record, values))
     if error is not None:
         raise MalformedFileError(f"{path}:{error.row}: {error.column}: {error.message}")
     return records

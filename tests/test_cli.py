@@ -1,6 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import nowcast
 
 from nowcast.cli import main
 from nowcast.ingest import validate
@@ -216,6 +221,25 @@ class TestBacktestCommand:
         assert code == 1 and out == ""
         [line] = err.splitlines()
         assert line.startswith("error: fit targets are too large")
+
+    def test_feature_too_wide_to_split_exits_one(self, synth_dir, tmp_path):
+        # a valid feature alternating 0 and 8.99e307: its differences span
+        # more than the float range, and fit once redrew a threshold forever.
+        # The command runs in a child process, killed after the timeout.
+        months = [row.split(",")[0] for row in (synth_dir / "target.csv").read_text().split()[1:]]
+        values = [f"{month},{8.99e307 * (i % 2)!r}" for i, month in enumerate(months)]
+        (synth_dir / "wide.csv").write_text("\n".join(["month,value", *values]) + "\n")
+        args = backtest_args(synth_dir, tmp_path / "x")
+        features = slice(args.index("--features") + 1, args.index("--approach"))
+        args[features] = [str(synth_dir / "wide.csv")]
+        src = Path(nowcast.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nowcast", *args],
+            capture_output=True, text=True, timeout=60, cwd=src,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line == "error: fit features are too wide: max - min overflows a float for wide"
 
     def test_malformed_target_exits_one_naming_file_and_line(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "target.csv").read_text().splitlines(keepends=True)

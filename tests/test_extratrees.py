@@ -1,5 +1,9 @@
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,38 @@ class TestFit:
         columns["y"] = columns["y"] * 1e153
         with pytest.raises(NonFiniteError):
             fit(FeatureTable(table.months, columns, target="y"), ExtraTreesParams(n_trees=2))
+
+    def test_features_too_wide_to_split_raise_a_domain_error(self):
+        # a column holding -1e308 and 1e308 has no finite range to draw a
+        # threshold in, and fit once redrew forever: run it in a child
+        # process that is killed after the timeout, with warnings as errors
+        code = textwrap.dedent(
+            """
+            import numpy as np
+            from nowcast.errors import NonFiniteError
+            from nowcast.extratrees import ExtraTreesParams, fit
+            from nowcast.timeseries import FeatureTable, MonthKey
+
+            months = tuple(MonthKey(2020, 1).shift(i) for i in range(4))
+            columns = {
+                "f0": np.array([-1e308, 1e308, 0.0, 1.0]),
+                "f1": np.array([1.0, 2.0, 3.0, 4.0]),
+                "y": np.array([1.0, 2.0, 3.0, 4.0]),
+            }
+            table = FeatureTable(months, columns, target="y")
+            try:
+                fit(table, ExtraTreesParams(n_trees=3, min_samples_split=2, seed=1))
+            except NonFiniteError as exc:
+                print(exc)
+            """
+        )
+        src = Path(extratrees.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            capture_output=True, text=True, timeout=60, cwd=src,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "fit features are too wide: max - min overflows a float for f0\n"
 
     def test_memorizes_training_set(self):
         table = random_table(20, 3, seed=9)

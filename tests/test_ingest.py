@@ -1,14 +1,19 @@
+import contextlib
 import datetime as dt
+import io
 import json
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nowcast import ingest
+from nowcast.cli import main
 from nowcast.errors import (
     EmptyInputError,
     MalformedFileError,
@@ -19,7 +24,9 @@ from nowcast.errors import (
 from nowcast.ingest import (
     SCHEMAS,
     EmployerRecord,
+    Finding,
     StormEvent,
+    ValidationReport,
     WeeklyClaims,
     aggregate_claims_monthly,
     aggregate_storms_monthly,
@@ -32,6 +39,8 @@ from nowcast.ingest import (
     write_monthly_series_csv,
 )
 from nowcast.timeseries import MonthKey, MonthlySeries
+
+from reference_scan import reference_read, reference_validate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -240,14 +249,26 @@ def test_validate_memory_is_bounded_per_row(tmp_path):
         for i in range(n)
     ]
     path = write(tmp_path, "storms.csv", STORM_HEADER + "".join(rows))
+    out = tmp_path / "report.json"
     tracemalloc.start()
     try:
         report = validate(path, "storm")
         _, peak = tracemalloc.get_traced_memory()
+        del report
+        tracemalloc.reset_peak()
+        # nowcast validate writes the report as it goes: beyond the report
+        # itself, it holds far less than the document it writes
+        with open(out, "w") as fh, contextlib.redirect_stdout(fh):
+            code = main(["validate", str(path), "--schema", "storm"])
+        _, cli_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.passed
+    report = validate(path, "storm")
+    assert report.passed and code == 0
     assert peak < 128 * n, f"{peak / n:.0f} bytes per row"
+    document = out.read_text()
+    assert document == report.to_json() + "\n" and len(report.findings) > 1000
+    assert cli_peak - peak < len(document) // 8, f"{cli_peak - peak} bytes beyond validate"
 
 
 # on each of these files validate and the strict reader once disagreed
@@ -317,16 +338,43 @@ def good_row(schema: str, i: int, n: int) -> list[str]:
     return [str(MonthKey(2019, 12).shift(i)), f"{n / 4}"]
 
 
+# padding that str.strip removes, and cells in other scripts and digit
+# systems or that need quoting, some of which parse as numbers
+PADDING = [" ", "  ", "\t", "\u00a0", "\u3000"]
+ODD_CELLS = [
+    "Zürich", "東京", "Ω", "😀", "٣", "𝟕", "١٢٣", "½", "２０１７-０１-０７", "٢٠٢١-٠١",
+    "1,000", "a,b", 'say "hi"', "back\\slash", "tab\there",
+]
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as a CSV field: quoted when it holds a comma or a quote."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
 @st.composite
 def csv_files(draw):
     """A schema and a file mixing good rows with cell, row and file defects."""
     schema = draw(st.sampled_from(sorted(SCHEMAS)))
+    # one cell defect a file tends to repeat, so that a bad text recurs in
+    # its column, as it does in real files
+    width = len(SCHEMAS[schema].header)
+    usual = (draw(st.integers(0, width - 1)), draw(st.sampled_from(CELL_DEFECTS)))
     rows: list[list[str]] = []
     for i in range(draw(st.integers(0, 7))):
         row = good_row(schema, i, draw(st.integers(0, 40)))
-        defect = draw(st.sampled_from(["none"] * 6 + ["cell", "fields", "repeat", "swap", "skip"]))
+        kinds = ["cell", "pad", "odd", "fields", "repeat", "swap", "skip"]
+        defect = draw(st.sampled_from(["none"] * 6 + kinds))
         if defect == "cell":
-            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(CELL_DEFECTS))
+            j, text = usual if draw(st.booleans()) else (draw(st.integers(0, width - 1)), None)
+            row[j] = text or draw(st.sampled_from(CELL_DEFECTS))
+        elif defect == "pad":
+            if rows and draw(st.booleans()):  # the last row again, padded
+                row = list(rows[-1])
+            j = draw(st.integers(0, len(row) - 1))
+            row[j] = draw(st.sampled_from(PADDING)) + row[j] + draw(st.sampled_from(["", *PADDING]))
+        elif defect == "odd":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
         elif defect == "fields":
             row = row[:-1] if draw(st.booleans()) else row + ["x"]
         elif defect == "repeat" and rows:
@@ -337,7 +385,7 @@ def csv_files(draw):
             continue
         rows.append(row)
     header = ",".join(SCHEMAS[schema].header)
-    return schema, "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+    return schema, "\n".join([header] + [",".join(map(csv_cell, r)) for r in rows]) + "\n"
 
 
 @settings(max_examples=400, deadline=None)
@@ -345,7 +393,7 @@ def csv_files(draw):
 def test_a_file_reads_exactly_when_it_validates(tmp_path_factory, case):
     schema, text = case
     path = tmp_path_factory.mktemp("agree") / f"{schema}.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     report = validate(path, schema)
     try:
         READERS[schema](path)
@@ -356,6 +404,82 @@ def test_a_file_reads_exactly_when_it_validates(tmp_path_factory, case):
         assert str(exc).startswith(f"{path}:{first.row}:")
     else:
         assert report.passed
+
+
+def records_or_error(read, path):
+    try:
+        return repr(read(path))  # the repr tells an int from an equal float
+    except MalformedFileError as exc:
+        return f"MalformedFileError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files(), st.sampled_from([1, 2, ingest._KNOWN_CELLS]))
+# a row is keyed by its stripped texts even where the second key cell is bad
+@example(("employer", EMPLOYER_HEADER + "X,2021/01,1,s,a\nX, 2021/01 ,2,s,a\n"), 2)
+# a count that parses but is out of range stays bad when it comes again
+@example(("claims", CLAIMS_HEADER + "2017-01-07,-3,1\n2017-01-14,-3,1\n"), 4096)
+def test_the_scan_gives_what_the_per_cell_scan_gave(tmp_path_factory, case, known_cells):
+    # every finding field in the same order, and the same records or error,
+    # also when the columns remember so few good cells that they start over
+    schema, text = case
+    path = tmp_path_factory.mktemp("oracle") / f"{schema}.csv"
+    path.write_text(text, encoding="utf-8")
+    spec = SCHEMAS[schema]
+    with mock.patch.object(ingest, "_KNOWN_CELLS", known_cells):
+        assert validate(path, schema) == reference_validate(path, schema)
+        got = records_or_error(READERS[schema], path)
+    want = records_or_error(lambda p: reference_read(p, spec), path)
+    if schema == "monthly-series" and not want.startswith("MalformedFileError"):
+        rows = reference_read(path, spec)
+        want = repr(MonthlySeries(rows[0].month, np.array([r.value for r in rows]), path.stem))
+    assert got == want
+
+
+# quotes, backslashes, control characters, BMP and astral characters and
+# a lone surrogate, all of which JSON escapes
+ODD_CHARACTERS = [
+    '"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "€", "\uffff", "😀", "\U0010ffff", "\ud800"
+]
+finding_texts = st.one_of(st.text(), st.text(st.sampled_from(ODD_CHARACTERS)))
+
+
+@st.composite
+def reports(draw):
+    """A report of any findings, file-level ones and odd texts included."""
+    column = st.one_of(st.sampled_from(["<header>", "<row>", "<file>", "value"]), finding_texts)
+    finding = st.builds(
+        Finding,
+        column=column,
+        row=st.integers(0, 2**70),
+        kind=st.one_of(st.sampled_from(["no_data", "outlier"]), finding_texts),
+        severity=st.sampled_from(["error", "warning"]),
+        message=finding_texts,
+    )
+    findings = tuple(draw(st.lists(finding, max_size=6)))
+    return ValidationReport(draw(finding_texts), draw(finding_texts), findings)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+@example(ValidationReport("claims", "c.csv", ()))
+@example(ValidationReport("s", "s.csv", (Finding("<file>", 1, "no_data", "error", "no rows"),)))
+def test_report_json_is_json_dumps_of_its_dict(report):
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_files(), st.sampled_from(["plain", 'q"uote', "back\\slash", "ctl\x01", "é€", "😀"]))
+def test_validate_command_writes_json_dumps_of_the_report(tmp_path_factory, case, name):
+    schema, text = case
+    path = tmp_path_factory.mktemp("cli") / f"{name}.csv"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", str(path), "--schema", schema])
+    report = validate(path, schema)
+    assert code == (0 if report.passed else 1)
+    assert out.getvalue() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 class TestMatchedPanel:
