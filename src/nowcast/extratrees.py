@@ -246,26 +246,19 @@ class _Replay:
 
     def __init__(self, bit_generators: list, reserve: int):
         self.bit_generators = bit_generators
+        states = [bg.state for bg in bit_generators]
         # at least ``reserve`` words ready after a refill
         self.size = _WORDS + reserve
-        # made at the first draw, so a fit whose roots are all leaves
-        # neither reads a state nor allocates a buffer
-        self.words: np.ndarray | None = None
-
-    def _start(self) -> None:
-        states = [bg.state for bg in self.bit_generators]
-        self.words = np.zeros((len(states), self.size), dtype=np.uint64)
+        self.words = np.zeros((len(bit_generators), self.size), dtype=np.uint64)
         # per tree: the next unused word, whether a half is kept, the last
         # high half drawn, and whether the bit generator was read
-        self.pos = np.full(len(states), self.size)
+        self.pos = np.full(len(bit_generators), self.size)
         self.kept = np.array([s["has_uint32"] for s in states], dtype=np.intp)
         self.high = np.array([s["uinteger"] for s in states], dtype=np.uint64)
-        self.read = np.zeros(len(states), dtype=bool)
+        self.read = np.zeros(len(bit_generators), dtype=bool)
 
     def _refill(self, trees: np.ndarray, need) -> None:
         """Make at least ``need`` unused words ready for each of ``trees``."""
-        if self.words is None:
-            self._start()
         for t in trees[self.size - self.pos[trees] < need].tolist():
             keep = self.size - self.pos[t]
             self.words[t, :keep] = self.words[t, self.pos[t] :]
@@ -358,8 +351,6 @@ class _Replay:
 
     def hand_off(self) -> None:
         """Leave each bit generator where per-node calls would have left it."""
-        if self.words is None:  # nothing was drawn
-            return
         for t in np.flatnonzero(self.read).tolist():
             bg = self.bit_generators[t]
             bg.advance(int(self.pos[t]) - self.size)  # back over the unused words
@@ -635,15 +626,14 @@ def fit(
             "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
         )
     # a threshold is drawn strictly inside a node's range, so every column's
-    # range must be finite; each column's is checked when the table's is not
+    # range must be finite
     with np.errstate(over="ignore"):
-        if not math.isfinite(X.max() - X.min()):
-            spans = (X.max(axis=0) - X.min(axis=0)).tolist()
-            wide = [name for name, span in zip(names, spans) if not math.isfinite(span)]
-            if wide:
-                raise NonFiniteError(
-                    f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
-                )
+        spans = X.max(axis=0) - X.min(axis=0)
+    if not np.isfinite(spans).all():
+        wide = [name for name, span in zip(names, spans.tolist()) if not math.isfinite(span)]
+        raise NonFiniteError(
+            f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
+        )
 
     samplers = (
         RandomSplitSampler(np.random.Generator(np.random.PCG64(params.seed ^ i)))

@@ -22,11 +22,12 @@ A scan holds one row at a time. Across rows it keeps only what a rule
 needs: the unique keys seen so far, the last ordered value and, for
 ``validate``, one compact buffer of lines and values per outlier column.
 Each column's check is built from its :class:`Column` once per scan, and
-each column but a real-valued one remembers up to ``_KNOWN_CELLS`` good
-cells by their raw text, so a repeated cell is not parsed again. A row
-that passes every check builds no :class:`Finding`; a row that fails is
-checked again cell by cell, by the same checks, for one finding per bad
-cell. A scan always reads the file to its end, so a file that fails to
+a column declared to repeat (months, dates, counts and categories, whose
+texts recur from row to row) remembers up to ``_KNOWN_CELLS`` good cells
+by their raw text, so a repeated cell is not parsed again. A row that
+passes every check builds no :class:`Finding`; a row that fails gets one
+finding per bad cell, by the same per-cell checks as before. A scan
+always reads the file to its end, so a file that fails to
 decode as UTF-8 or to split into CSV fields anywhere raises
 :class:`UnreadableFileError`, even when an earlier row is bad.
 :meth:`ValidationReport.write_json` writes a report's JSON one finding at
@@ -142,6 +143,9 @@ class Column:
     required: bool = True  # an empty cell is a missing_value error
     minimum: int | None = None
     outliers: bool = False  # joins the robust-outlier pass
+    # the column's cells come from a few texts that recur, so its good
+    # cells are remembered by their raw text (see ``_cell``)
+    repeats: bool = False
 
 
 @dataclass(frozen=True)
@@ -168,11 +172,11 @@ class Schema:
 SCHEMAS: dict[str, Schema] = {
     "employer": Schema(
         columns=(
-            Column("month", _month),
-            Column("active_employees", _integer, minimum=0, outliers=True),
+            Column("month", _month, repeats=True),
+            Column("active_employees", _integer, minimum=0, outliers=True, repeats=True),
             Column("employer_id", str),
-            Column("sector", str, required=False),
-            Column("size_band", str, required=False),
+            Column("sector", str, required=False, repeats=True),
+            Column("size_band", str, required=False, repeats=True),
         ),
         record=EmployerRecord,
         unique=("employer_id", "month"),
@@ -180,10 +184,10 @@ SCHEMAS: dict[str, Schema] = {
     ),
     "storm": Schema(
         columns=(
-            Column("state", str, required=False),
-            Column("event_type", str, required=False),
-            Column("begin_date", _date),
-            Column("injuries", _integer, minimum=0, outliers=True),
+            Column("state", str, required=False, repeats=True),
+            Column("event_type", str, required=False, repeats=True),
+            Column("begin_date", _date, repeats=True),
+            Column("injuries", _integer, minimum=0, outliers=True, repeats=True),
             Column("damage_usd", _real, minimum=0, outliers=True),
         ),
         record=StormEvent,
@@ -303,13 +307,11 @@ def _cell(c: Column, i: int, shared: dict[str, str] | None) -> tuple[Callable, C
     given and writes the text back into the row (the unique-key rule reads
     it there), then parses and bounds it. It returns ``(text, value)`` or
     raises ``_BadCell``. A cell's text and value depend on its raw text
-    alone, so a good cell is remembered by its raw text, and ``known(raw)``
-    gives the same pair back without the work (``None`` for a cell not
-    remembered).
+    alone, so when ``c.repeats`` a good cell is remembered by its raw text,
+    and ``known(raw)`` gives the same pair back without the work (``None``
+    for a cell not remembered).
     """
-    parse, required, minimum = c.parse, c.required, c.minimum
-    # a measurement rarely repeats its text, so its cells are not remembered
-    remember = parse is not _real
+    parse, required, minimum, remember = c.parse, c.required, c.minimum, c.repeats
     remembered: dict[str, tuple[str, Any]] = {}
 
     def check(row: list[str]) -> tuple[str, Any]:
@@ -339,9 +341,8 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
     cell is bad, or ``None`` as a whole for a wrong field count and for the
     file-level findings: a wrong header (which ends the scan), no data rows.
     Each cell is taken by its column's check (:func:`_cell`), built once
-    per scan. A row whose cells all pass builds no finding; a row with a
-    bad cell is taken again cell by cell, by the same checks, for one
-    finding per bad cell in column order. Rows are read one at a time, and
+    per scan: a row whose cells all pass builds no finding, and a row gets
+    one finding per bad cell, in column order. Rows are read one at a time, and
     the file is always read to its end, so a failure to read any part of it
     raises ``UnreadableFileError`` however the consumer treats the findings
     before it.
@@ -380,17 +381,12 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]
             yield line, None, [Finding("<row>", line, "field_count", "error", message)]
             continue
         found: list[Finding] = []
-        try:  # the whole row, building nothing, up to its first bad cell
-            values = [None] * width
-            for _, i, known, check in cells:
+        values = [None] * width
+        for name, i, known, check in cells:
+            try:
                 row[i], values[i] = known(row[i]) or check(row)
-        except _BadCell:  # then again, cell by cell, to say what is wrong
-            values = [None] * width
-            for name, i, known, check in cells:
-                try:
-                    row[i], values[i] = known(row[i]) or check(row)
-                except _BadCell as bad:
-                    found.append(Finding(name, line, bad.args[0], "error", bad.args[1]))
+            except _BadCell as bad:
+                found.append(Finding(name, line, bad.args[0], "error", bad.args[1]))
         if key and values[key[0]] is not None:
             level = seen
             for i in outer:

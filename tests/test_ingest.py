@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -414,19 +415,27 @@ def records_or_error(read, path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(csv_files(), st.sampled_from([1, 2, ingest._KNOWN_CELLS]))
+@given(csv_files(), st.sampled_from([1, 2, ingest._KNOWN_CELLS]), st.booleans())
 # a row is keyed by its stripped texts even where the second key cell is bad
-@example(("employer", EMPLOYER_HEADER + "X,2021/01,1,s,a\nX, 2021/01 ,2,s,a\n"), 2)
+@example(("employer", EMPLOYER_HEADER + "X,2021/01,1,s,a\nX, 2021/01 ,2,s,a\n"), 2, True)
+# a remembered padded key cell is still keyed by its stripped text
+@example(("employer", EMPLOYER_HEADER + "X, 2021-01 ,1,s,a\nX, 2021-01 ,2,s,a\n"), 4096, False)
 # a count that parses but is out of range stays bad when it comes again
-@example(("claims", CLAIMS_HEADER + "2017-01-07,-3,1\n2017-01-14,-3,1\n"), 4096)
-def test_the_scan_gives_what_the_per_cell_scan_gave(tmp_path_factory, case, known_cells):
+@example(("claims", CLAIMS_HEADER + "2017-01-07,-3,1\n2017-01-14,-3,1\n"), 4096, True)
+def test_the_scan_gives_what_the_per_cell_scan_gave(tmp_path_factory, case, known_cells, every):
     # every finding field in the same order, and the same records or error,
-    # also when the columns remember so few good cells that they start over
+    # also when the columns remember so few good cells that they start over,
+    # and whichever columns remember their cells
     schema, text = case
     path = tmp_path_factory.mktemp("oracle") / f"{schema}.csv"
     path.write_text(text, encoding="utf-8")
     spec = SCHEMAS[schema]
-    with mock.patch.object(ingest, "_KNOWN_CELLS", known_cells):
+    if every:
+        columns = tuple(dataclasses.replace(c, repeats=True) for c in spec.columns)
+        patched = {schema: dataclasses.replace(spec, columns=columns)}
+    else:
+        patched = {}
+    with mock.patch.object(ingest, "_KNOWN_CELLS", known_cells), mock.patch.dict(SCHEMAS, patched):
         assert validate(path, schema) == reference_validate(path, schema)
         got = records_or_error(READERS[schema], path)
     want = records_or_error(lambda p: reference_read(p, spec), path)
