@@ -626,14 +626,17 @@ def fit(
             "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
         )
     # a threshold is drawn strictly inside a node's range, so every column's
-    # range must be finite
+    # range must be finite; the table's range bounds them all and is about
+    # four times cheaper to take than the columns' (row-major ``X``), so the
+    # columns are checked only when it is not finite
     with np.errstate(over="ignore"):
-        spans = X.max(axis=0) - X.min(axis=0)
-    if not np.isfinite(spans).all():
-        wide = [name for name, span in zip(names, spans.tolist()) if not math.isfinite(span)]
-        raise NonFiniteError(
-            f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
-        )
+        if not math.isfinite(X.max() - X.min()):
+            spans = (X.max(axis=0) - X.min(axis=0)).tolist()
+            wide = [name for name, span in zip(names, spans) if not math.isfinite(span)]
+            if wide:
+                raise NonFiniteError(
+                    f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
+                )
 
     samplers = (
         RandomSplitSampler(np.random.Generator(np.random.PCG64(params.seed ^ i)))

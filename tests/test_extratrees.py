@@ -135,6 +135,14 @@ class TestFit:
                 fit(table, ExtraTreesParams(n_trees=3, min_samples_split=2, seed=1))
             except NonFiniteError as exc:
                 print(exc)
+            # columns far apart, each with a finite range, still fit
+            apart = {
+                "f0": np.array([-1e308, -9e307, -1e308, -9e307]),
+                "f1": np.array([9e307, 1e308, 9e307, 1e308]),
+                "y": columns["y"],
+            }
+            fit(FeatureTable(months, apart, target="y"), ExtraTreesParams(n_trees=3, min_samples_split=2, seed=1))
+            print("fitted")
             """
         )
         src = Path(extratrees.__file__).resolve().parents[1]
@@ -143,7 +151,7 @@ class TestFit:
             capture_output=True, text=True, timeout=60, cwd=src,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "fit features are too wide: max - min overflows a float for f0\n"
+        assert proc.stdout == "fit features are too wide: max - min overflows a float for f0\nfitted\n"
 
     def test_memorizes_training_set(self):
         table = random_table(20, 3, seed=9)
