@@ -615,16 +615,19 @@ def fit(
             f"k_features={k} exceeds the {X.shape[1]} available features"
         )
 
-    # every node's sums, squares and scores stay finite while 4 * s**2 does
-    try:
-        scale = math.fsum(np.abs(y).tolist())
-        finite = math.isfinite(4 * scale * scale)
-    except OverflowError:  # fsum overflowed
-        finite = False
-    if not finite:
-        raise NonFiniteError(
-            "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
-        )
+    # every node's sums, squares and scores stay finite while 4 * s**2 does;
+    # s is at most n * max|target|, so the exact sum is taken only when that
+    # bound comes near the limit
+    if not len(y) * float(np.abs(y).max()) < 1e150:
+        try:
+            scale = math.fsum(np.abs(y).tolist())
+            finite = math.isfinite(4 * scale * scale)
+        except OverflowError:  # fsum overflowed
+            finite = False
+        if not finite:
+            raise NonFiniteError(
+                "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
+            )
     # a threshold is drawn strictly inside a node's range, so every column's
     # range must be finite; the table's range bounds them all and is about
     # four times cheaper to take than the columns' (row-major ``X``), so the

@@ -112,6 +112,9 @@ class TestFit:
         columns["y"] = columns["y"] * 1e153
         with pytest.raises(NonFiniteError):
             fit(FeatureTable(table.months, columns, target="y"), ExtraTreesParams(n_trees=2))
+        # targets near that limit whose sums of squares stay finite still fit
+        columns["y"] = table.columns["y"] * 1e151
+        fit(FeatureTable(table.months, columns, target="y"), ExtraTreesParams(n_trees=2))
 
     def test_features_too_wide_to_split_raise_a_domain_error(self):
         # a column holding -1e308 and 1e308 has no finite range to draw a
