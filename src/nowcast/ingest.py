@@ -22,14 +22,15 @@ A scan holds one row at a time. Across rows it keeps only what a rule
 needs: the unique keys seen so far, the last ordered value and, for
 ``validate``, one compact buffer of lines and values per outlier column.
 Each column's check is built from its :class:`Column` once per scan, and
-a column declared to repeat (months, dates, counts and categories, whose
-texts recur from row to row) remembers up to ``_KNOWN_CELLS`` good cells
-by their raw text, so a repeated cell is not parsed again. A row that
-passes every check builds no :class:`Finding`; a row that fails gets one
-finding per bad cell, by the same per-cell checks as before. A scan
-always reads the file to its end, so a file that fails to
-decode as UTF-8 or to split into CSV fields anywhere raises
-:class:`UnreadableFileError`, even when an earlier row is bad.
+a column declared to repeat (the employer and storm months, dates,
+counts and categories, whose texts recur within a file) remembers up to
+``_KNOWN_CELLS`` good cells by their raw text, so a repeated cell is not
+parsed again. Each cell is checked once: a row that passes every check
+builds no :class:`Finding`, and a row that fails gets one finding per
+bad cell, in column order. A scan always reads the file to its end, so
+a file that fails to decode as UTF-8 or to split into CSV fields
+anywhere raises :class:`UnreadableFileError`, even when an earlier row
+is bad.
 :meth:`ValidationReport.write_json` writes a report's JSON one finding at
 a time, in the layout of ``json.dumps(report.to_dict(), indent=2)``.
 """

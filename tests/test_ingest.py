@@ -418,6 +418,8 @@ def records_or_error(read, path):
 @given(csv_files(), st.sampled_from([1, 2, ingest._KNOWN_CELLS]), st.booleans())
 # a row is keyed by its stripped texts even where the second key cell is bad
 @example(("employer", EMPLOYER_HEADER + "X,2021/01,1,s,a\nX, 2021/01 ,2,s,a\n"), 2, True)
+# an empty padded second key cell is keyed by its stripped text too
+@example(("employer", EMPLOYER_HEADER + "X, ,1,s,a\nX,  ,2,s,a\n"), 2, False)
 # a remembered padded key cell is still keyed by its stripped text
 @example(("employer", EMPLOYER_HEADER + "X, 2021-01 ,1,s,a\nX, 2021-01 ,2,s,a\n"), 4096, False)
 # a count that parses but is out of range stays bad when it comes again
