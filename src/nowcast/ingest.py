@@ -22,12 +22,13 @@ A scan holds one row at a time. Across rows it keeps only what a rule
 needs: the unique keys seen so far, the last ordered value and, for
 ``validate``, one compact buffer of lines and values per outlier column.
 Each column's check is built from its :class:`Column` once per scan, and
-a column declared to repeat (the employer and storm months, dates,
-counts and categories, whose texts recur within a file) remembers up to
-``_KNOWN_CELLS`` good cells by their raw text, so a repeated cell is not
-parsed again. Each cell is checked once: a row that passes every check
-builds no :class:`Finding`, and a row that fails gets one finding per
-bad cell, in column order. A scan always reads the file to its end, so
+a column declared to repeat (the employer, storm and monthly-series months,
+dates, counts and categories, whose texts recur within a process) remembers
+up to ``_KNOWN_CELLS`` good cells by their raw text for the life of the
+process, so a repeated cell is not parsed again, in this file or the next.
+Each cell is checked once: a row that passes every check builds no
+:class:`Finding`, and a row that fails gets one finding per bad cell, in
+column order. A scan always reads the file to its end, so
 a file that fails to decode as UTF-8 or to split into CSV fields
 anywhere raises :class:`UnreadableFileError`, even when an earlier row
 is bad.
@@ -144,8 +145,8 @@ class Column:
     required: bool = True  # an empty cell is a missing_value error
     minimum: int | None = None
     outliers: bool = False  # joins the robust-outlier pass
-    # the column's cells come from a few texts that recur, so its good
-    # cells are remembered by their raw text (see ``_cell``)
+    # the column's cells come from a few texts that recur within a process,
+    # so its good cells are remembered by their raw text (see ``_cell``)
     repeats: bool = False
 
 
@@ -206,7 +207,7 @@ SCHEMAS: dict[str, Schema] = {
         saturdays="week_ending",
     ),
     "monthly-series": Schema(
-        columns=(Column("value", _real, outliers=True), Column("month", _month)),
+        columns=(Column("value", _real, outliers=True), Column("month", _month, repeats=True)),
         record=_Observation,
         contiguous="month",
         needs_rows=True,
@@ -299,6 +300,10 @@ def _rows(path) -> Iterator[list[str]]:
 
 # good cells a column remembers by their raw text; it starts over when full
 _KNOWN_CELLS = 4096
+# the remembered cells of each repeating column, kept for the process: a
+# cell's text and value depend only on its raw text and its (immutable)
+# column, so equal columns share them, across scans and across schemas
+_REMEMBERED: dict[Column, dict[str, tuple[str, Any]]] = {}
 
 
 def _cell(c: Column, i: int, shared: dict[str, str] | None) -> tuple[Callable, Callable]:
@@ -308,12 +313,12 @@ def _cell(c: Column, i: int, shared: dict[str, str] | None) -> tuple[Callable, C
     given and writes the text back into the row (the unique-key rule reads
     it there), then parses and bounds it. It returns ``(text, value)`` or
     raises ``_BadCell``. A cell's text and value depend on its raw text
-    alone, so when ``c.repeats`` a good cell is remembered by its raw text,
-    and ``known(raw)`` gives the same pair back without the work (``None``
-    for a cell not remembered).
+    alone, so when ``c.repeats`` a good cell is remembered by its raw text
+    in ``_REMEMBERED[c]``, and ``known(raw)`` gives the same pair back
+    without the work (``None`` for a cell not remembered).
     """
     parse, required, minimum, remember = c.parse, c.required, c.minimum, c.repeats
-    remembered: dict[str, tuple[str, Any]] = {}
+    remembered = _REMEMBERED.setdefault(c, {}) if remember else {}
 
     def check(row: list[str]) -> tuple[str, Any]:
         raw = row[i]
@@ -327,7 +332,9 @@ def _cell(c: Column, i: int, shared: dict[str, str] | None) -> tuple[Callable, C
         if minimum is not None and value < minimum:
             raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
         if remember:
-            if len(remembered) == _KNOWN_CELLS:
+            # not ``==``: threads that insert between this check and the
+            # write can take a shared memo past the cap
+            if len(remembered) >= _KNOWN_CELLS:
                 remembered.clear()
             remembered[raw] = (text, value)
         return text, value

@@ -4,7 +4,9 @@ All types are immutable after construction and therefore safe to share
 across threads. Values are 64-bit floats throughout; gaps in a monthly
 index are construction-time errors, never silently interpolated.
 A slice, window or ``with_target`` of a valid object is not validated again:
-its arrays are read-only views that share memory with the parent's.
+its arrays are read-only views that share memory with the parent's. A
+table keeps its columns in one months x columns block, so a slice is one
+row range of it and ``matrix`` is one gather from it.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ def _read_only(values, dtype=np.float64) -> np.ndarray:
     return arr.view()
 
 
-def _freeze(values: Iterable[float]) -> np.ndarray:
-    arr = _read_only(values)
+def _finite(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a one-dimensional float64 array of finite values."""
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -91,7 +94,7 @@ class MonthlySeries:
     units: str = ""
 
     def __post_init__(self) -> None:
-        arr = _freeze(self.values)
+        arr = _read_only(_finite(self.values))
         if arr.size == 0:
             raise ValueError("a MonthlySeries must contain at least one value")
         object.__setattr__(self, "values", arr)
@@ -141,13 +144,17 @@ class FeatureTable:
     """Month-aligned named columns, an optional target column, and a ledger.
 
     Every column has exactly one value per month; months are strictly
-    increasing and contiguous.
+    increasing and contiguous. The columns are stored as one read-only,
+    C-contiguous months x columns block, and ``columns[name]`` is a view
+    of one of its columns.
     """
 
     months: tuple[MonthKey, ...]
     columns: Mapping[str, np.ndarray]
     target: str | None = None
     ledger: TransformLedger = field(default_factory=TransformLedger)
+    _block: np.ndarray = field(init=False, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         months = tuple(self.months)
@@ -161,18 +168,22 @@ class FeatureTable:
             raise ValueError(f"months must be contiguous; gap between {prev} and {cur}")
         if not self.columns:
             raise ValueError("a FeatureTable must have at least one column")
-        frozen: dict[str, np.ndarray] = {}
+        checked = []
         for name, values in self.columns.items():
-            arr = _freeze(values)
+            arr = _finite(values)
             if arr.size != len(months):
                 raise ValueError(
                     f"column {name!r} has {arr.size} values for {len(months)} months"
                 )
-            frozen[name] = arr
-        if self.target is not None and self.target not in frozen:
+            checked.append(arr)
+        index = {name: j for j, name in enumerate(self.columns)}
+        if self.target is not None and self.target not in index:
             raise ValueError(f"target {self.target!r} is not a column")
+        block = _read_only(np.column_stack(checked))
         object.__setattr__(self, "months", months)
-        object.__setattr__(self, "columns", MappingProxyType(frozen))
+        object.__setattr__(self, "columns", MappingProxyType(dict(zip(index, block.T))))
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.months)
@@ -206,8 +217,8 @@ class FeatureTable:
         return MonthlySeries(self.start, self.target_values(), name=self.target or "")
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Stack the named columns into an (n_rows, len(names)) array."""
-        return np.column_stack([self.columns[name] for name in names])
+        """The named columns as a new C-contiguous (n_rows, len(names)) array."""
+        return self._block.take([self._index[name] for name in names], axis=1)
 
     def with_target(self, target: str) -> "FeatureTable":
         """Same table, sharing its columns, with the target set to ``target``."""
@@ -225,7 +236,9 @@ class FeatureTable:
             )
         rows = slice(first - self.start, last - self.start + 1)
         cols = MappingProxyType({name: arr[rows] for name, arr in self.columns.items()})
-        return _trusted_replace(self, months=self.months[rows], columns=cols)
+        return _trusted_replace(
+            self, months=self.months[rows], columns=cols, _block=self._block[rows]
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureTable):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -155,6 +156,67 @@ class TestFit:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "fit features are too wide: max - min overflows a float for f0\nfitted\n"
+
+    def test_any_finite_table_fits_or_raises_a_domain_error(self, tmp_path):
+        # over small tables of any finite values (the largest floats,
+        # subnormals and signed zeros included) fit returns or raises a
+        # NowcastError, never warns, and draws every threshold strictly
+        # inside its node's range; a hang is caught by the child's timeout
+        code = textwrap.dedent(
+            """
+            import warnings
+
+            import numpy as np
+            from hypothesis import given, settings, strategies as st
+
+            from nowcast.errors import NowcastError
+            from nowcast.extratrees import ExtraTreesParams, fit
+            from nowcast.timeseries import FeatureTable, MonthKey
+
+            EDGES = [1.7976931348623157e308, 8.98846567431158e307, 2.2250738585072014e-308, 5e-324, 0.0]
+            values = st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(EDGES + [-v for v in EDGES]),
+            )
+
+            def check_inside(tree, X, node=0):
+                if tree.feature[node] < 0:
+                    return
+                column = X[:, tree.feature[node]]
+                assert column.min() < tree.threshold[node] < column.max()
+                below = column < tree.threshold[node]
+                check_inside(tree, X[below], tree.left[node])
+                check_inside(tree, X[~below], tree.right[node])
+
+            @settings(max_examples=300, deadline=None, database=None)
+            @given(st.integers(2, 6), st.integers(1, 3), st.data(), st.integers(0, 2**32))
+            def fits_or_raises(n, p, data, seed):
+                months = tuple(MonthKey(2020, 1).shift(i) for i in range(n))
+                names = [f"f{i}" for i in range(p)] + ["y"]
+                columns = {name: data.draw(st.lists(values, min_size=n, max_size=n)) for name in names}
+                table = FeatureTable(months, columns, target="y")
+                params = ExtraTreesParams(n_trees=3, min_samples_split=2, seed=seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        model = fit(table, params)
+                    except NowcastError:
+                        return
+                X = table.matrix(model.feature_names)
+                for tree in model.trees:
+                    check_inside(tree, X)
+
+            fits_or_raises()
+            print("held")
+            """
+        )
+        # hypothesis keeps a cache in its working directory, so it runs in tmp_path
+        src = Path(extratrees.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "held\n")
 
     def test_memorizes_training_set(self):
         table = random_table(20, 3, seed=9)

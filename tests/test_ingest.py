@@ -1,10 +1,13 @@
 import contextlib
+import csv
 import dataclasses
 import datetime as dt
 import io
 import json
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -445,6 +448,104 @@ def test_the_scan_gives_what_the_per_cell_scan_gave(tmp_path_factory, case, know
         rows = reference_read(path, spec)
         want = repr(MonthlySeries(rows[0].month, np.array([r.value for r in rows]), path.stem))
     assert got == want
+
+
+def test_a_memo_past_its_cap_starts_over(tmp_path):
+    # a column's memo outlives its scan, so it can hold more cells than a
+    # lowered cap; it must start over then, not grow for good
+    month = SCHEMAS["monthly-series"].columns[1]
+    path = write(tmp_path, "s.csv", "month,value\n2020-01,1\n2020-02,2\n2020-03,3\n")
+    memo = {f"old{i}": (f"old{i}", MonthKey(2000, 1)) for i in range(5)}
+    with mock.patch.dict(ingest._REMEMBERED, {month: memo}), mock.patch.object(
+        ingest, "_KNOWN_CELLS", 2
+    ):
+        read_monthly_series_csv(path)
+    assert memo == {"2020-03": ("2020-03", MonthKey(2020, 3))}
+
+
+def test_equal_columns_of_two_schemas_share_one_memo(tmp_path):
+    employer, series = SCHEMAS["employer"].columns[0], SCHEMAS["monthly-series"].columns[1]
+    assert employer == series and employer.repeats
+    path = write(tmp_path, "s.csv", "month,value\n2020-01,1\n")
+    with mock.patch.object(ingest, "_REMEMBERED", {}):
+        read_monthly_series_csv(path)
+        assert ingest._REMEMBERED[employer] == {"2020-01": ("2020-01", MonthKey(2020, 1))}
+
+
+def test_threads_sharing_memos_get_the_serial_results_and_keep_them_bounded(tmp_path):
+    # memos are shared by every scan in the process; threads that insert
+    # between another's size check and its write may pass the cap, by at
+    # most one cell each, and the next insert starts the memo over
+    paths = []
+    for k in range(6):
+        months = [MonthKey(1990 + 10 * k, 1).shift(i) for i in range(60)]
+        text = "month,value\n" + "".join(f"{m},{i}\n" for i, m in enumerate(months))
+        paths.append(write(tmp_path, f"s{k}.csv", text))
+
+    def scans(path):
+        return [(validate(path, "monthly-series"), read_monthly_series_csv(path)) for _ in range(5)]
+
+    threads, cap = 8, 8
+    switch = sys.getswitchinterval()
+    with mock.patch.object(ingest, "_KNOWN_CELLS", cap), mock.patch.object(ingest, "_REMEMBERED", {}):
+        want = [scans(p) for p in paths]
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(scans, p) for p in paths * 2]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == want * 2
+        assert all(len(memo) <= cap + threads for memo in ingest._REMEMBERED.values())
+
+
+def echo(text: str, schema: str, rotation: int) -> str:
+    """A ``schema`` file whose rows cycle the cells of the rows of ``text``,
+    starting at ``rotation``: the same texts, met first in other columns."""
+    width = len(SCHEMAS[schema].header)
+    rows = [row for row in list(csv.reader(io.StringIO(text)))[1:] if row]
+    cycled = [[row[(j + rotation) % len(row)] for j in range(width)] for row in rows]
+    lines = [",".join(SCHEMAS[schema].header)] + [",".join(map(csv_cell, r)) for r in cycled]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(csv_files(), max_size=3),
+    csv_files(),
+    st.one_of(st.none(), st.tuples(st.sampled_from(sorted(SCHEMAS)), st.integers(0, 4))),
+    st.sampled_from([1, 2, 3, ingest._KNOWN_CELLS]),
+)
+# the employer and monthly-series month columns are equal, so they share a memo
+@example([], ("monthly-series", "month,value\n2020-01,1\n 2020-02,2\n"), ("employer", 1), 4096)
+@example([], ("employer", EMPLOYER_HEADER + "X, 2021-01 ,1,s,a\n"), ("monthly-series", 1), 4096)
+def test_a_files_report_and_records_do_not_depend_on_earlier_scans(
+    tmp_path_factory, earlier, case, echoed, known_cells
+):
+    # the repeating columns' memos live for the process; whatever files were
+    # scanned before, of any schema, a file gives what it gives to a process
+    # whose memos start empty
+    folder = tmp_path_factory.mktemp("history")
+    schema, text = case
+    path = folder / f"{schema}.csv"
+    path.write_text(text, encoding="utf-8")
+
+    def outcome():
+        return validate(path, schema), records_or_error(READERS[schema], path)
+
+    if echoed:
+        earlier = [*earlier, (echoed[0], echo(text, *echoed))]
+    with mock.patch.object(ingest, "_KNOWN_CELLS", known_cells):
+        with mock.patch.object(ingest, "_REMEMBERED", {}):
+            want = outcome()
+        with mock.patch.object(ingest, "_REMEMBERED", {}):
+            for k, (before, before_text) in enumerate(earlier):
+                before_path = folder / f"before{k}.csv"
+                before_path.write_text(before_text, encoding="utf-8")
+                validate(before_path, before)
+                records_or_error(READERS[before], before_path)
+            assert outcome() == want
 
 
 # quotes, backslashes, control characters, BMP and astral characters and

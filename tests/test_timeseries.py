@@ -262,6 +262,21 @@ class TestFeatureTable:
         with pytest.raises(ValueError, match="not a column"):
             t.with_target("nope")
 
+    @given(tables(), st.data())
+    def test_columns_slices_and_targets_share_one_locked_block(self, t, data):
+        lo, hi = data.draw(bounds(len(t)))
+        views = [t, t.slice(t.months[lo], t.months[hi]), t.with_target(t.column_names[0])]
+        block = t.column(t.column_names[0]).base
+        for view in views:
+            for name, column in view.columns.items():
+                assert column.base is block and np.shares_memory(column, t.column(name))
+                with pytest.raises(ValueError):
+                    column.flags.writeable = True
+            names = data.draw(st.lists(st.sampled_from(view.column_names), min_size=1, max_size=6))
+            m = view.matrix(names)
+            assert m.dtype == np.float64 and m.flags.c_contiguous and not np.shares_memory(m, block)
+            np.testing.assert_array_equal(m, np.column_stack([view.column(n) for n in names]))
+
     def test_column_length_mismatch_rejected(self):
         months = (MonthKey(2020, 1), MonthKey(2020, 2))
         with pytest.raises(ValueError):
