@@ -7,8 +7,9 @@ over the node sample, and the candidate with the highest variance reduction
 wins (ties go to the earliest-drawn candidate). Predictions average the
 reached leaf values across trees.
 
-A fitted tree is a set of parallel node arrays (:class:`Tree`); the JSON
-model document encodes each one as nested ``leaf``/``split`` objects.
+A fitted tree is a set of parallel node arrays (:class:`Tree`), built from
+pre-order lists by :func:`_tree` whether fitted or decoded; the JSON model
+document encodes each one as nested ``leaf``/``split`` objects.
 :class:`ExtraTreesModel` and :class:`ExtraTreesParams` check their own
 invariants; :func:`model_from_dict` only decodes, and maps their
 :class:`InvalidParamsError` to :class:`InvalidModelError`.
@@ -19,7 +20,10 @@ trees in lockstep, each step expanding the next node of every unfinished
 tree as batched numpy; each tree still visits its nodes depth first, left
 child first, and its draws are replayed from its own stream's raw words in
 the order of per-node ``Generator`` calls (:class:`_Replay`), so every tree
-has the bits of a build of that tree alone (:func:`grow_tree`). Four sums
+has the bits of a build of that tree alone (:func:`grow_tree`). The replay
+is only a fast path: a node whose draws meet a Lemire rejection or a
+threshold on an endpoint is drawn by the tree's own ``Generator``, handed
+its stream at the replay's position. Four sums
 whose bits depend on how they are called stay one call per node: the
 target sum (``np.add.reduce``), the sum of squares (``y @ y``) and the
 two mask products (``y @ masks`` and ``(y * y) @ masks``), see
@@ -86,7 +90,7 @@ class Tree:
     ``right[i]``. A leaf has ``feature``, ``left`` and ``right`` equal to -1
     and predicts ``value[i]``, the mean target of its ``count[i]`` training
     rows. ``threshold`` is NaN at leaves and ``value`` is NaN at splits.
-    Each array is stored as a read-only view of a private copy.
+    Each array is stored as a read-only copy over an immutable buffer.
     """
 
     feature: np.ndarray
@@ -115,40 +119,14 @@ class Tree:
         return out
 
 
-class _TreeBuilder:
-    """Node lists filled in depth-first, left-first order, then frozen."""
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.count: list[int] = []
-
-    def add(
-        self,
-        parent: int,
-        is_left: bool,
-        feature: int,
-        threshold: float,
-        value: float,
-        count: int,
-    ) -> int:
-        """Append a node, link it under ``parent`` (-1 for the root), return its id."""
-        node = len(self.feature)
-        if parent >= 0:
-            (self.left if is_left else self.right)[parent] = node
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        self.count.append(count)
-        return node
-
-    def freeze(self) -> Tree:
-        return Tree(self.feature, self.threshold, self.left, self.right, self.value, self.count)
+def _tree(feature, number, right, count) -> Tree:
+    """A tree from pre-order node lists or arrays: the left child of split
+    ``i`` is ``i + 1``, and ``number`` is a split's threshold or a leaf's value."""
+    feature, number = np.asarray(feature), np.asarray(number, dtype=np.float64)
+    split = feature >= 0
+    threshold, value = np.where(split, number, math.nan), np.where(split, math.nan, number)
+    left = np.where(split, np.arange(1, feature.size + 1), -1)
+    return Tree(feature, threshold, left, right, value, count)
 
 
 def _fisher_yates(pool: list, offsets: list[int]) -> list:
@@ -183,10 +161,15 @@ class RandomSplitSampler:
         ``Generator.uniform(lo, hi)``, so both give the same bits; a draw
         that lands on an endpoint is redrawn.
         """
-        while True:
-            t = lo + (hi - lo) * self.rng.random()
-            if lo < t < hi:
-                return t
+        return _draw_inside(self.rng, lo, hi)
+
+
+def _draw_inside(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``lo + (hi - lo) * rng.random()``, redrawn until strictly inside (lo, hi)."""
+    while True:
+        t = lo + (hi - lo) * rng.random()
+        if lo < t < hi:
+            return t
 
 
 def grow_tree(
@@ -240,8 +223,9 @@ class _Replay:
     32-bit half-words: the low half of a fresh word first, its high half
     kept for the next 32-bit draw; a bound of 1 draws nothing.
     ``Generator.random`` takes a whole word as ``(w >> 11) * 2**-53`` and
-    leaves a kept half alone. A node whose draws meet a Lemire rejection
-    or a threshold on an endpoint is redone one draw at a time.
+    leaves a kept half alone. A node whose draws may meet a Lemire
+    rejection, or whose threshold lands on an endpoint, is drawn by its
+    tree's own ``Generator`` at the replay's position (:meth:`_slow`).
     """
 
     def __init__(self, bit_generators: list, reserve: int):
@@ -265,25 +249,24 @@ class _Replay:
             self.words[t, keep:] = self.bit_generators[t].random_raw(self.pos[t])
             self.read[t], self.pos[t] = True, 0
 
-    def _word(self, t: int) -> int:
-        self._refill(np.array([t]), 1)
-        self.pos[t] += 1
-        return int(self.words[t, self.pos[t] - 1])
+    def _hand_back(self, t: int) -> None:
+        """Leave tree ``t``'s bit generator where per-node calls would have left it."""
+        bg = self.bit_generators[t]
+        bg.advance(int(self.pos[t]) - self.size)  # back over the unused words
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = int(self.kept[t]), int(self.high[t])
+        bg.state = state
 
-    def _uint32(self, t: int) -> int:
-        if self.kept[t]:
-            self.kept[t] = 0
-            return int(self.high[t])
-        word = self._word(t)
-        self.kept[t], self.high[t] = 1, word >> 32
-        return word & 0xFFFFFFFF
-
-    def _bounded(self, t: int, bound: int) -> int:
-        """Lemire's rule: a uniform integer below ``bound``."""
-        product = self._uint32(t) * bound
-        while (product & 0xFFFFFFFF) < 2**32 % bound:
-            product = self._uint32(t) * bound
-        return product >> 32
+    def _slow(self, t: int, draw):
+        """``draw(generator)`` on tree ``t``'s own ``Generator`` at the
+        replay's position; the replay goes on from where that leaves the stream."""
+        self._hand_back(t)
+        bg = self.bit_generators[t]
+        out = draw(np.random.Generator(bg))
+        state = bg.state
+        self.kept[t], self.high[t] = state["has_uint32"], state["uinteger"]
+        self.pos[t] = self.size  # the buffer is spent: the next refill reads fresh words
+        return out
 
     def offsets(self, trees: np.ndarray, m: np.ndarray, kk: np.ndarray) -> np.ndarray:
         """Partial Fisher-Yates offsets: pick ``i`` of node ``s`` draws
@@ -303,8 +286,8 @@ class _Replay:
         product = u * bound
         out = (product >> np.uint64(32)).astype(np.intp)
         # Lemire rejects a draw whose low half is below 2**32 % bound, so
-        # below bound: nodes with such a low half are redone one at a time
-        redo = ((product & np.uint64(0xFFFFFFFF)) < bound).any(axis=1)
+        # below bound: a node with such a drawn pick is drawn by its Generator
+        redo = (drawn & ((product & np.uint64(0xFFFFFFFF)) < bound)).any(axis=1)
 
         done = ~redo & (draws > 0)
         t, last = trees[done], half[done, 0] + draws[done] - 1
@@ -313,8 +296,9 @@ class _Replay:
         self.high[t] = np.where(new_high, self.words[t, last >> 1] >> np.uint64(32), self.high[t])
         self.pos[t], self.kept[t] = (last >> 1) + 1, 1 - (last & 1)
         for s in np.flatnonzero(redo).tolist():
-            t, n, d = int(trees[s]), int(m[s]), int(draws[s])
-            out[s] = [self._bounded(t, n - j) if j < d else 0 for j in i.tolist()]
+            n, k = int(m[s]), int(kk[s])
+            bounds = np.arange(n, n - k, -1)
+            out[s, :k] = self._slow(int(trees[s]), lambda rng: rng.integers(0, bounds))
         return out
 
     def choose(self, trees, candidates, m, kk) -> np.ndarray:
@@ -339,24 +323,16 @@ class _Replay:
         redraw = (drawn & ~((lo < out) & (out < hi))).any(axis=1)
         self.pos[trees[~redraw]] += kk[~redraw]
         for s in np.flatnonzero(redraw).tolist():
-            t = int(trees[s])
-            for j in range(kk[s]):
-                a, b = float(lo[s, j]), float(hi[s, j])
-                while True:
-                    x = a + (b - a) * ((self._word(t) >> 11) * 2.0**-53)
-                    if a < x < b:
-                        break
-                out[s, j] = x
+            ranges = list(zip(lo[s, : kk[s]].tolist(), hi[s, : kk[s]].tolist()))
+            out[s, : kk[s]] = self._slow(
+                int(trees[s]), lambda rng: [_draw_inside(rng, a, b) for a, b in ranges]
+            )
         return out
 
     def hand_off(self) -> None:
         """Leave each bit generator where per-node calls would have left it."""
         for t in np.flatnonzero(self.read).tolist():
-            bg = self.bit_generators[t]
-            bg.advance(int(self.pos[t]) - self.size)  # back over the unused words
-            state = bg.state
-            state["has_uint32"], state["uinteger"] = int(self.kept[t]), int(self.high[t])
-            bg.state = state
+            self._hand_back(t)
 
 
 def _grow(X, y, n_trees, k, min_split, draws) -> tuple[list[Tree], np.ndarray]:
@@ -417,21 +393,10 @@ class _Lockstep:
         self.depth = np.ones(n_trees, dtype=np.intp)
 
     def trees(self) -> list[Tree]:
-        out = []
-        for t, size in enumerate(self.nodes.tolist()):
-            feature, number = self.feature[t, :size], self.number[t, :size]
-            split = feature >= 0
-            out.append(
-                Tree(
-                    feature,
-                    np.where(split, number, math.nan),
-                    np.where(split, np.arange(1, size + 1), -1),
-                    self.right[t, :size],
-                    np.where(split, math.nan, number),
-                    self.count[t, :size],
-                )
-            )
-        return out
+        arrays = self.feature, self.number, self.right, self.count
+        return [
+            _tree(*(a[t, :size] for a in arrays)) for t, size in enumerate(self.nodes.tolist())
+        ]
 
     def step(self) -> bool:
         """Take and expand the next node of every unfinished tree; False
@@ -719,31 +684,37 @@ def _finite(value, what: str) -> float:
 
 
 def _tree_from_dict(doc: dict, n_features: int) -> Tree:
-    nodes = _TreeBuilder()
-    stack = [(doc, -1, True)]
+    feature, number, right, count = [], [], [], []
+    stack = [(doc, -1)]  # pending nodes, with their parent if a right child
     while stack:
-        d, parent, is_left = stack.pop()
+        d, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
         kind = d["kind"]
         if kind == "leaf":
-            value = _finite(d["value"], "leaf value")
-            nodes.add(parent, is_left, -1, math.nan, value, int(d["count"]))
+            number.append(_finite(d["value"], "leaf value"))
+            count.append(int(d["count"]))
+            feature.append(-1)
         elif kind == "split":
-            feature = int(d["feature_index"])
-            if not 0 <= feature < n_features:
+            index = int(d["feature_index"])
+            if not 0 <= index < n_features:
                 raise InvalidModelError(
-                    f"feature_index {feature} is outside the {n_features} feature names"
+                    f"feature_index {index} is outside the {n_features} feature names"
                 )
-            threshold = _finite(d["threshold"], "split threshold")
-            node = nodes.add(parent, is_left, feature, threshold, math.nan, 0)
-            stack.append((d["right"], node, False))
-            stack.append((d["left"], node, True))
+            number.append(_finite(d["threshold"], "split threshold"))
+            count.append(0)
+            feature.append(index)
+            stack.append((d["right"], node))
+            stack.append((d["left"], -1))
         else:
             raise InvalidModelError(f"unknown node kind: {kind!r}")
+        right.append(-1)
     # documents store counts at leaves only; a split's is its children's total
-    for i in reversed(range(len(nodes.count))):
-        if nodes.feature[i] >= 0:
-            nodes.count[i] = nodes.count[nodes.left[i]] + nodes.count[nodes.right[i]]
-    return nodes.freeze()
+    for i in reversed(range(len(feature))):
+        if feature[i] >= 0:
+            count[i] = count[i + 1] + count[right[i]]
+    return _tree(feature, number, right, count)
 
 
 def model_from_dict(d: dict) -> ExtraTreesModel:

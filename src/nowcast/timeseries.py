@@ -64,11 +64,10 @@ def _trusted_replace(obj, **changes):
 
 
 def _read_only(values, dtype=np.float64) -> np.ndarray:
-    """A read-only view of a private copy of ``values``: a view of a
-    read-only base can never be made writeable, and shares no caller's array."""
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr.view()
+    """A copy of ``values`` over an immutable ``bytes`` buffer: neither it
+    nor any array reached through its ``.base`` can be made writeable."""
+    arr = np.asarray(values, dtype)
+    return np.frombuffer(arr.tobytes(), dtype).reshape(arr.shape)
 
 
 def _finite(values: Iterable[float]) -> np.ndarray:

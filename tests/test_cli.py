@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -315,3 +317,67 @@ class TestBacktestCommand:
             assert run(backtest_args(synth_dir, out), capsys)[0] == 0
             outputs.append((out / "report.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_any_well_formed_pair_exits_cleanly(self, tmp_path):
+        # over pairs of well-formed monthly-series files (any finite values,
+        # the largest floats and subnormals included, lengths around
+        # --min-train) backtest exits 0, 1 or 2 and prints no traceback; a
+        # hang is caught by the child's timeout
+        code = textwrap.dedent(
+            """
+            import contextlib
+            import io
+            import tempfile
+            from pathlib import Path
+
+            from hypothesis import given, settings, strategies as st
+
+            from nowcast.backtest import MIN_TRAIN_FLOOR
+            from nowcast.cli import main
+            from nowcast.transforms import Approach
+
+            EDGES = [1.7976931348623157e308, 8.98846567431158e307, 2.2250738585072014e-308, 5e-324, 0.0]
+            extreme = st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(EDGES + [-v for v in EDGES]),
+            )
+
+            def series_file(draw, path, min_train):
+                start, n = draw(st.integers(0, 2)), min_train + draw(st.integers(-1, 12))
+                cells = draw(st.lists(draw(st.sampled_from([st.floats(-1e6, 1e6), extreme])), min_size=n, max_size=n))
+                months = [f"{2020 + (start + i) // 12}-{(start + i) % 12 + 1:02d}" for i in range(n)]
+                rows = [f"{month},{value!r}" for month, value in zip(months, cells)]
+                path.write_text("\\n".join(["month,value", *rows]) + "\\n")
+
+            @settings(max_examples=300, deadline=None, database=None)
+            @given(st.data(), st.sampled_from(list(Approach)), st.integers(2, 6), st.integers(0, 2**32))
+            def exits_cleanly(data, approach, min_split, seed):
+                min_train = MIN_TRAIN_FLOOR[approach] + data.draw(st.integers(-1, 2))
+                with tempfile.TemporaryDirectory() as tmp:
+                    target, feature = Path(tmp, "target.csv"), Path(tmp, "feature.csv")
+                    series_file(data.draw, target, min_train)
+                    series_file(data.draw, feature, min_train)
+                    argv = [
+                        "backtest", "--target", str(target), "--features", str(feature),
+                        "--approach", approach.value, "--min-train", str(min_train),
+                        "--seed", str(seed), "--out", str(Path(tmp, "out")),
+                        "--n-trees", "3", "--min-samples-split", str(min_split),
+                    ]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        exit_code = main(argv)
+                assert exit_code in (0, 1, 2) and "Traceback" not in err.getvalue()
+                if exit_code:
+                    assert err.getvalue().splitlines()[-1].startswith("error: ")
+
+            exits_cleanly()
+            print("held")
+            """
+        )
+        # hypothesis keeps a cache in its working directory, so it runs in tmp_path
+        src = Path(nowcast.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "held\n")

@@ -31,7 +31,7 @@ from nowcast.extratrees import (
     model_to_dict,
     predict,
 )
-from nowcast.timeseries import FeatureTable, MonthKey
+from nowcast.timeseries import FeatureTable, MonthKey, MonthlySeries
 
 from reference_tree import RecordingSampler, Trace, assert_trees_equal, reference_grow
 
@@ -371,6 +371,25 @@ class TestReadOnlyModel:
         self.assert_read_only(model.importances)
         assert predict(model, table).tobytes() == before.tobytes()
 
+    def test_no_array_reached_through_base_can_be_made_writeable(self):
+        # the stored arrays, and every array behind them, stay locked
+        table = random_table(25, 3, seed=65)
+        model = fit(table, ExtraTreesParams(n_trees=2, seed=65))
+        decoded = ExtraTreesModel.from_json(model.to_json())
+        stored = [
+            MonthlySeries(MonthKey(2020, 1), [1.0, 2.0]).values,
+            table.column("f0"),
+            table.slice(table.months[3], table.months[9]).column("y"),
+            model.importances,
+        ]
+        for tree in (model.trees[0], decoded.trees[0]):
+            stored += [getattr(tree, name) for name in self.TREE_ARRAYS]
+        for arr in stored:
+            while isinstance(arr, np.ndarray):
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+                arr = arr.base
+
     def test_callers_importances_stay_writeable_and_unshared(self):
         model = fit(random_table(25, 3, seed=63), ExtraTreesParams(n_trees=2, seed=63))
         mine = np.array([0.5, 0.25, 0.25])
@@ -633,6 +652,31 @@ class TestGrowTreeMatchesFit:
             assert used.rng.bit_generator.state == sampler.rng.bit_generator.state
 
 
+class TestDecoder:
+    @pytest.mark.parametrize(
+        "table,params",
+        [
+            (random_table(25, 3, seed=66), ExtraTreesParams(n_trees=4, seed=66)),
+            (random_table(40, 4, seed=67), ExtraTreesParams(n_trees=3, min_samples_split=2, seed=67)),
+            (step_table(), ExtraTreesParams(n_trees=3, k_features=2, min_samples_split=3, seed=68)),
+            # fewer rows than min_samples_split: every tree is one leaf
+            (random_table(4, 2, seed=69), ExtraTreesParams(n_trees=2, seed=69)),
+        ],
+        ids=["random", "min-split-2", "steps-k2", "one-leaf"],
+    )
+    def test_decoded_node_arrays_equal_fitted_ones(self, table, params):
+        # the document carries no split counts and no left children: the
+        # decoder rebuilds both, byte for byte
+        model = fit(table, params)
+        restored = ExtraTreesModel.from_json(model.to_json())
+        for ours, theirs in zip(model.trees, restored.trees, strict=True):
+            for name in ("feature", "threshold", "left", "right", "value", "count"):
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        if len(table) < params.min_samples_split:
+            assert all(tree.feature.tolist() == [-1] for tree in restored.trees)
+
+
 @st.composite
 def draw_sequences(draw):
     """Per step, one kind of draw for a random subset of 1-3 streams."""
@@ -704,6 +748,32 @@ class TestReplay:
         replay.hand_off()
         for sampler, bit_generator in zip(samplers, replayed):
             assert bit_generator.state == sampler.rng.bit_generator.state
+
+
+class TestReplaySlowPath:
+    def test_a_node_without_draws_takes_no_slow_path(self, monkeypatch):
+        # a node with one qualifying feature draws nothing, so its padding
+        # (the zeroed buffer of a stream not yet read) is no Lemire rejection
+        slow_path = []
+        slow = extratrees._Replay._slow
+
+        def counted(self, t, draw):
+            slow_path.append(t)
+            return slow(self, t, draw)
+
+        monkeypatch.setattr(extratrees._Replay, "_slow", counted)
+        replayed = [np.random.PCG64(5), np.random.PCG64(6)]
+        replay = extratrees._Replay(replayed, reserve=2)
+        trees = np.array([0, 1])
+        offsets = replay.offsets(trees, np.array([1, 1]), np.array([1, 1]))
+        assert offsets.tolist() == [[0], [0]] and slow_path == []
+        offsets = replay.offsets(trees[1:], np.array([1]), np.array([1]))
+        assert offsets.tolist() == [[0]] and slow_path == []
+        replay.hand_off()
+        for seed, bit_generator in zip((5, 6), replayed):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            assert rng.integers(0, np.arange(1, 0, -1)).tolist() == [0]
+            assert bit_generator.state == rng.bit_generator.state
 
 
 class TestLockstep:
