@@ -19,6 +19,7 @@ from .errors import (
     DegenerateActualsError,
     InvalidParamsError,
     LengthMismatchError,
+    NonFiniteError,
     TooShortError,
 )
 from .extratrees import ExtraTreesParams, fit, predict
@@ -33,18 +34,27 @@ MIN_TRAIN_FLOOR = {Approach.SEASONAL_DIFF: 24, Approach.MONTH_ONEHOT: 13}
 def r_squared(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of determination: 1 - SS_res / SS_tot.
 
-    ``actual`` must vary; a constant actual sequence has no variance to
-    explain and raises :class:`DegenerateActualsError`.
+    ``actual`` must vary: an empty or constant actual sequence (every value
+    equal) has no variance to explain and raises
+    :class:`DegenerateActualsError`. :class:`NonFiniteError` is raised when
+    SS_tot overflows a float, or when the result is not finite (SS_res
+    overflows, or SS_tot underflows to zero).
     """
     a = np.asarray(actual, dtype=np.float64)
     p = np.asarray(predicted, dtype=np.float64)
     if a.shape != p.shape:
         raise LengthMismatchError(f"length mismatch: {a.shape} vs {p.shape}")
-    ss_tot = float(np.sum((a - a.mean()) ** 2)) if a.size else 0.0
-    if ss_tot == 0.0:
+    if not a.size or (a == a[0]).all():
         raise DegenerateActualsError("actual values have zero variance")
-    ss_res = float(np.sum((a - p) ** 2))
-    return 1.0 - ss_res / ss_tot
+    with np.errstate(all="ignore"):
+        ss_tot = np.sum((a - a.mean()) ** 2)
+        ss_res = np.sum((a - p) ** 2)
+        score = 1.0 - ss_res / ss_tot
+    if not (np.isfinite(ss_tot) and np.isfinite(score)):
+        raise NonFiniteError(
+            f"r_squared is not a finite float: SS_res={float(ss_res)!r}, SS_tot={float(ss_tot)!r}"
+        )
+    return float(score)
 
 
 def directional_accuracy(

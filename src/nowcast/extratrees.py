@@ -15,19 +15,20 @@ invariants; :func:`model_from_dict` only decodes, and maps their
 :class:`InvalidParamsError` to :class:`InvalidModelError`.
 
 Determinism contract: all randomness flows from numpy's PCG64 bit
-generator. Tree ``i`` draws from ``PCG64(seed ^ i)``. :func:`fit` grows its
-trees in lockstep, each step expanding the next node of every unfinished
-tree as batched numpy; each tree still visits its nodes depth first, left
-child first, and its draws are replayed from its own stream's raw words in
-the order of per-node ``Generator`` calls (:class:`_Replay`), so every tree
-has the bits of a build of that tree alone (:func:`grow_tree`). The replay
-is only a fast path: a node whose draws meet a Lemire rejection or a
-threshold on an endpoint is drawn by the tree's own ``Generator``, handed
-its stream at the replay's position. Four sums
-whose bits depend on how they are called stay one call per node: the
-target sum (``np.add.reduce``), the sum of squares (``y @ y``) and the
-two mask products (``y @ masks`` and ``(y * y) @ masks``), see
-:meth:`_Lockstep._expand`.
+generator. Tree ``i`` draws from ``PCG64(seed ^ i)``, a stream that starts
+fresh. :func:`fit` grows its trees in lockstep, each step expanding the
+next node of every unfinished tree as batched numpy; a split partitions its
+node's rows by a stable sort, so they stay in training-row order. Each tree
+still visits its nodes depth first, left child first, and its draws are
+replayed from its own stream's raw words in the order of per-node
+``Generator`` calls (:class:`_Replay`), so every tree has the bits of a
+build of that tree alone (:func:`grow_tree`). The replay is only a fast
+path: a node whose draws meet a Lemire rejection or a threshold on an
+endpoint is drawn by the tree's own ``Generator``, handed its stream at the
+replay's position. Four sums whose bits depend on how they are called stay
+one call per node: the target sum (``np.add.reduce``), the sum of squares
+(``y @ y``) and the two mask products (``y @ masks`` and
+``(y * y) @ masks``), see :meth:`_Lockstep._expand`.
 """
 
 from __future__ import annotations
@@ -226,19 +227,19 @@ class _Replay:
     leaves a kept half alone. A node whose draws may meet a Lemire
     rejection, or whose threshold lands on an endpoint, is drawn by its
     tree's own ``Generator`` at the replay's position (:meth:`_slow`).
+    Every stream starts fresh, as ``PCG64(seed)`` leaves it: no half kept.
     """
 
     def __init__(self, bit_generators: list, reserve: int):
         self.bit_generators = bit_generators
-        states = [bg.state for bg in bit_generators]
         # at least ``reserve`` words ready after a refill
         self.size = _WORDS + reserve
         self.words = np.zeros((len(bit_generators), self.size), dtype=np.uint64)
         # per tree: the next unused word, whether a half is kept, the last
         # high half drawn, and whether the bit generator was read
         self.pos = np.full(len(bit_generators), self.size)
-        self.kept = np.array([s["has_uint32"] for s in states], dtype=np.intp)
-        self.high = np.array([s["uinteger"] for s in states], dtype=np.uint64)
+        self.kept = np.zeros(len(bit_generators), dtype=np.intp)
+        self.high = np.zeros(len(bit_generators), dtype=np.uint64)
         self.read = np.zeros(len(bit_generators), dtype=bool)
 
     def _refill(self, trees: np.ndarray, need) -> None:
@@ -343,7 +344,7 @@ def _grow(X, y, n_trees, k, min_split, draws) -> tuple[list[Tree], np.ndarray]:
     """
     n_total, p = X.shape
     if n_total < min_split:  # every root is a leaf
-        leaf = Tree([-1], [math.nan], [-1], [-1], [float(np.add.reduce(y)) / n_total], [n_total])
+        leaf = _tree([-1], [np.add.reduce(y) / n_total], [-1], [n_total])
         return [leaf] * n_trees, np.zeros((n_trees, p))
     forest = _Lockstep(X, y, n_trees, k, min_split, draws)
     while forest.step():
@@ -367,15 +368,16 @@ class _Lockstep:
     its parent when it is taken.
 
     ``order[t]`` is a permutation of the row indices in which every node of
-    tree ``t`` owns a contiguous run. A split partitions its run stably, so
-    each node's rows stay in training-row order: a node's sums add the same
-    numbers in the same order as sums over the boolean-mask subset of the
-    training rows, and so round to the same bits.
+    tree ``t`` owns a contiguous run. A split partitions its run by a stable
+    sort, left rows first, so each node's rows stay in training-row order:
+    a node's sums add the same numbers in the same order as sums over the
+    boolean-mask subset of the training rows, and so round to the same bits.
     """
 
     def __init__(self, X, y, n_trees, k, min_split, draws):
         n_total, p = X.shape
-        self.X, self.y, self.k, self.min_split, self.draws = X, y, k, min_split, draws
+        self.k, self.min_split, self.draws = k, min_split, draws
+        # the one training matrix: the features, then the target
         self.Xy = np.hstack((X, y[:, None]))
         # node arrays, widened as the trees grow: ``number`` is a split's
         # threshold or a leaf's value, and left children are implied
@@ -423,14 +425,13 @@ class _Lockstep:
 
     def _expand(self, trees, node, start, n) -> None:
         """Make each node a leaf, or split it and push its children."""
-        X, y, p = self.X, self.y, self.X.shape[1]
-        n_total = self.order.shape[1]
+        Xy, n_total, p = self.Xy, self.order.shape[1], self.Xy.shape[1] - 1
         first = np.cumsum(n) - n  # each node's first row among the gathered ones
         segment = np.repeat(np.arange(n.size), n)
         at = np.repeat(trees * n_total + start - first, n) + np.arange(segment.size)
         rows = self.order.reshape(-1)[at]
-        yn = y[rows]
-        xy = self.Xy[rows]
+        yn = Xy[rows, p]
+        xy = Xy[rows]
         lo, hi = np.minimum.reduceat(xy, first, axis=0), np.maximum.reduceat(xy, first, axis=0)
         del xy
         # a feature qualifies when some float lies strictly between its min
@@ -439,16 +440,19 @@ class _Lockstep:
         m = qualifies.sum(axis=1)
         split = (n >= self.min_split) & (lo[:, p] != hi[:, p]) & (m > 0)
 
+        # each node's target sum, for its leaf value or its split scores
+        runs = zip(first.tolist(), n.tolist())
+        y_sum = np.array([np.add.reduce(yn[a : a + c]) for a, c in runs])
         leaf = ~split
-        runs = zip(first[leaf].tolist(), n[leaf].tolist())
-        sums = [np.add.reduce(yn[a : a + c]) for a, c in runs]
-        self.number[trees[leaf], node[leaf]] = np.array(sums) / n[leaf]
+        self.number[trees[leaf], node[leaf]] = y_sum[leaf] / n[leaf]
         if not split.any():
             return
 
         keep = split[segment]
         rows, yn, at = rows[keep], yn[keep], at[keep]
-        trees, node, start, n, lo, hi, m = (v[split] for v in (trees, node, start, n, lo, hi, m))
+        trees, node, start, n, lo, hi, m, y_sum = (
+            v[split] for v in (trees, node, start, n, lo, hi, m, y_sum)
+        )
         first = np.cumsum(n) - n
         segment = np.repeat(np.arange(n.size), n)
         kk = np.minimum(self.k, m)
@@ -464,7 +468,7 @@ class _Lockstep:
         # variance reduction of every candidate, written in terms of each
         # side's row count, sum and sum of squares
         drawn = np.arange(chosen.shape[1]) < kk[:, None]
-        below = X.reshape(-1).take(rows[:, None] * p + chosen[segment]) < thresholds[segment]
+        below = Xy.reshape(-1).take(rows[:, None] * (p + 1) + chosen[segment]) < thresholds[segment]
         # 1 past a node's kk keeps the padding's divisions finite
         n_left = np.where(drawn, np.add.reduceat(below, first, axis=0, dtype=np.intp), 1)
         # Sums whose bits depend on how they are called stay one call per
@@ -474,14 +478,13 @@ class _Lockstep:
         masks = below[drawn[segment]].astype(np.float64)
         block = np.cumsum(n * kk) - n * kk
         ysq = yn * yn
-        y_sum, ysq_sum, left_sum, left_sq = [], [], [], []
+        ysq_sum, left_sum, left_sq = [], [], []
         for a, c, b, w in zip(first.tolist(), n.tolist(), block.tolist(), kk.tolist()):
             yv, mv = yn[a : a + c], masks[b : b + c * w].reshape(c, w)
-            y_sum.append(np.add.reduce(yv))
             ysq_sum.append(yv @ yv)
             left_sum.append(yv @ mv)
             left_sq.append(ysq[a : a + c] @ mv)
-        y_sum, ysq_sum = np.array(y_sum), np.array(ysq_sum)
+        ysq_sum = np.array(ysq_sum)
         # Python's ** (C pow) here, as numpy's square can round differently
         parent_var = np.array(
             [(q - t**2 / c) / c for t, q, c in zip(y_sum.tolist(), ysq_sum.tolist(), n.tolist())]
@@ -503,15 +506,11 @@ class _Lockstep:
         self.importance[trees, feature] += (n / n_total) * np.where(
             best_score < 0.0, 0.0, best_score
         )
-        # a stable partition of each node's rows, left rows first
+        # a stable sort by node, then side, partitions each node's rows in
+        # place, left rows first
         goes_left = below[np.arange(rows.size), best[segment]]
-        local = np.arange(rows.size) - first[segment]
-        left_rank = np.cumsum(goes_left) - goes_left
-        left_rank -= left_rank[first][segment]
-        n_left = n_left[s, best]
-        right_rank = n_left[segment] + local - left_rank
-        self.order.reshape(-1)[at - local + np.where(goes_left, left_rank, right_rank)] = rows
-        mid = start + n_left
+        self.order.reshape(-1)[at] = rows[np.lexsort((~goes_left, segment))]
+        mid = start + n_left[s, best]
         depth = self.depth[trees]
         if depth.max() + 2 > self.stack.shape[1]:
             self.stack = _widen(self.stack, 0)
@@ -606,11 +605,7 @@ def fit(
                     f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
                 )
 
-    samplers = (
-        RandomSplitSampler(np.random.Generator(np.random.PCG64(params.seed ^ i)))
-        for i in range(params.n_trees)
-    )
-    replay = _Replay([sampler.rng.bit_generator for sampler in samplers], k)
+    replay = _Replay([np.random.PCG64(params.seed ^ i) for i in range(params.n_trees)], k)
     trees, per_tree = _grow(X, y, params.n_trees, k, params.min_samples_split, replay)
     replay.hand_off()
     # each tree's importances are summed on their own, then added in tree

@@ -14,9 +14,9 @@ file against it. ``validate`` reports what the scan finds plus robust
 outliers and never raises on bad rows; the ``read_*`` functions enforce
 the same spec, raising its first error as :class:`MalformedFileError`.
 Their records (:class:`EmployerRecord`, :class:`StormEvent`,
-:class:`WeeklyClaims`) are named tuples (``typing.NamedTuple``), so a
-record also equals the plain tuple of its values, and a schema's header is
-its record type's fields.
+:class:`WeeklyClaims`) and ``validate``'s findings (:class:`Finding`) are
+named tuples (``typing.NamedTuple``), so each also equals the plain tuple
+of its values, and a schema's header is its record type's fields.
 
 A scan holds one row at a time. Across rows it keeps only what a rule
 needs: the unique keys seen so far, the last ordered value and, for
@@ -215,9 +215,12 @@ SCHEMAS: dict[str, Schema] = {
 }
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One validation issue. ``row`` is the 1-based file line (header = 1)."""
+class Finding(NamedTuple):
+    """One validation issue. ``row`` is the 1-based file line (header = 1).
+
+    A named tuple, like the records, so a finding equals the plain tuple of
+    its fields.
+    """
 
     column: str
     row: int
@@ -258,7 +261,7 @@ class ValidationReport:
             "schema": self.schema,
             "path": self.path,
             "passed": self.passed,
-            "findings": [dict(vars(f)) for f in self.findings],
+            "findings": [f._asdict() for f in self.findings],
             "column_summary": self.column_summary(),
         }
 

@@ -70,13 +70,14 @@ def _read_only(values, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(arr.tobytes(), dtype).reshape(arr.shape)
 
 
-def _finite(values: Iterable[float]) -> np.ndarray:
-    """``values`` as a one-dimensional float64 array of finite values."""
+def _finite(values: Iterable[float], what: str = "values") -> np.ndarray:
+    """``values`` as a one-dimensional float64 array of finite values;
+    ``what`` names them in a :class:`NonFiniteError`."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("values contain NaN or infinite entries")
+        raise NonFiniteError(f"{what} contain NaN or infinite entries")
     return arr
 
 
@@ -169,7 +170,7 @@ class FeatureTable:
             raise ValueError("a FeatureTable must have at least one column")
         checked = []
         for name, values in self.columns.items():
-            arr = _finite(values)
+            arr = _finite(values, f"column {name!r} values")
             if arr.size != len(months):
                 raise ValueError(
                     f"column {name!r} has {arr.size} values for {len(months)} months"

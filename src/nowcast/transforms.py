@@ -59,10 +59,15 @@ def one_hot_month(month: MonthKey) -> OneHotVector:
 
 
 def _difference(values: np.ndarray, lag: int) -> np.ndarray:
-    """``values[t] - values[t - lag]`` for every ``t`` with a value ``lag`` places back."""
+    """``values[t] - values[t - lag]`` for every ``t`` with a value ``lag`` places back.
+
+    A difference past the float range is infinite, without a numpy warning;
+    the table or reconstruction built from it raises :class:`NonFiniteError`.
+    """
     if len(values) <= lag:
         raise TooShortError(f"need more than {lag} values to difference, got {len(values)}")
-    return values[lag:] - values[:-lag]
+    with np.errstate(over="ignore"):
+        return values[lag:] - values[:-lag]
 
 
 def _undifference(diffs: np.ndarray, anchor: np.ndarray, lag: int) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""The row scan as it was before rows took a fast path, kept as an oracle.
+"""A plain row scan, kept as an oracle for the production scan.
 
-``reference_scan`` is the per-cell scan that built every row's findings
-list; ``reference_validate`` and ``reference_read`` are ``validate`` and
-the strict readers' ``_read`` on top of it. The tests check that the
+``reference_scan`` checks every cell in turn and builds every row's
+findings list, good rows included; ``reference_validate`` and
+``reference_read`` are ``validate`` and the strict readers' ``_read`` on
+top of it. The tests check that the
 production scan gives the same findings, in the same order, and the same
 records or error on every file.
 """

@@ -17,6 +17,7 @@ from nowcast.errors import (
     DegenerateActualsError,
     InvalidParamsError,
     LengthMismatchError,
+    NonFiniteError,
     TooShortError,
 )
 from nowcast.extratrees import ExtraTreesParams
@@ -38,6 +39,32 @@ class TestRSquared:
     def test_degenerate_actuals(self):
         with pytest.raises(DegenerateActualsError):
             r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    # numpy warnings are errors under this suite's settings, so each case
+    # below also shows that r_squared computes its sums without one
+    @pytest.mark.parametrize(
+        "actual",
+        [[0.1] * 3, [1e308] * 17, [-5e-324] * 2, []],
+        ids=["mean-rounds-off", "sum-overflows", "subnormal", "empty"],
+    )
+    def test_equal_actuals_are_degenerate(self, actual):
+        # the mean of [0.1] * 3 is 0.10000000000000002, so the deviations
+        # are not all zero; every actual being equal is what decides
+        with pytest.raises(DegenerateActualsError, match="zero variance"):
+            r_squared(actual, [0.2] * len(actual))
+
+    @pytest.mark.parametrize(
+        "actual,predicted",
+        [
+            ([1e200, -1e200], [0.0, 0.0]),  # SS_tot overflows
+            ([1.0, 2.0], [1e300, -1e300]),  # SS_res overflows
+            ([0.0, 5e-324], [0.0, 0.0]),  # varying actuals, SS_tot underflows to 0
+        ],
+        ids=["ss-tot-overflows", "ss-res-overflows", "ss-tot-underflows"],
+    )
+    def test_sums_out_of_float_range_raise_non_finite(self, actual, predicted):
+        with pytest.raises(NonFiniteError, match="r_squared is not a finite float"):
+            r_squared(actual, predicted)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):

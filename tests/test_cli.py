@@ -226,7 +226,7 @@ class TestBacktestCommand:
 
     def test_feature_too_wide_to_split_exits_one(self, synth_dir, tmp_path):
         # a valid feature alternating 0 and 8.99e307: its differences span
-        # more than the float range, and fit once redrew a threshold forever.
+        # more than the float range, so no threshold can be drawn inside it.
         # The command runs in a child process, killed after the timeout.
         months = [row.split(",")[0] for row in (synth_dir / "target.csv").read_text().split()[1:]]
         values = [f"{month},{8.99e307 * (i % 2)!r}" for i, month in enumerate(months)]
@@ -242,6 +242,44 @@ class TestBacktestCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line == "error: fit features are too wide: max - min overflows a float for wide"
+
+    @pytest.mark.parametrize(
+        "target,feature,message",
+        [
+            # constant levels whose mean and sums of squares overflow
+            ([1e308] * 30, [float(i % 5) for i in range(30)], "actual values have zero variance"),
+            # a feature whose last first difference overflows
+            (
+                [100.0 + i * 1.5 + (i % 3) for i in range(30)],
+                [float(i % 7) for i in range(28)] + [-sys.float_info.max, sys.float_info.max],
+                "column 'feat' values contain NaN or infinite entries",
+            ),
+        ],
+        ids=["constant-huge-target", "feature-difference-overflows"],
+    )
+    def test_values_at_the_float_limit_exit_one_without_warnings(
+        self, tmp_path, target, feature, message
+    ):
+        # the command runs in a child process under Python's default warning
+        # filters, where a numpy RuntimeWarning would print to stderr
+        months = [f"{2020 + i // 12}-{i % 12 + 1:02d}" for i in range(30)]
+        for name, values in (("target", target), ("feat", feature)):
+            rows = [f"{month},{value!r}" for month, value in zip(months, values)]
+            (tmp_path / f"{name}.csv").write_text("\n".join(["month,value", *rows]) + "\n")
+        args = [
+            "backtest", "--target", str(tmp_path / "target.csv"),
+            "--features", str(tmp_path / "feat.csv"), "--approach", "B",
+            "--min-train", "13", "--seed", "1", "--n-trees", "3", "--out", str(tmp_path / "out"),
+        ]
+        src = Path(nowcast.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "nowcast", *args],
+            capture_output=True, text=True, timeout=60, cwd=src,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Warning" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line == f"error: {message}"
 
     def test_malformed_target_exits_one_naming_file_and_line(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "target.csv").read_text().splitlines(keepends=True)
@@ -321,8 +359,9 @@ class TestBacktestCommand:
     def test_any_well_formed_pair_exits_cleanly(self, tmp_path):
         # over pairs of well-formed monthly-series files (any finite values,
         # the largest floats and subnormals included, lengths around
-        # --min-train) backtest exits 0, 1 or 2 and prints no traceback; a
-        # hang is caught by the child's timeout
+        # --min-train) backtest exits 0, 1 or 2 and prints no traceback; the
+        # child treats warnings as errors, so a numpy warning fails it too,
+        # and a hang is caught by its timeout
         code = textwrap.dedent(
             """
             import contextlib
@@ -377,7 +416,8 @@ class TestBacktestCommand:
         # hypothesis keeps a cache in its working directory, so it runs in tmp_path
         src = Path(nowcast.__file__).resolve().parents[1]
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            [sys.executable, "-W", "error", "-c", code],
+            capture_output=True, text=True, timeout=120,
             cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "held\n")

@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the source tree."""
+"""Every narrative demo runs to completion against the source tree, with
+warnings as errors."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demo_exits_zero(demo, tmp_path):
     )
     env["TMPDIR"] = str(tmp_path)
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -119,7 +119,7 @@ class TestFit:
 
     def test_features_too_wide_to_split_raise_a_domain_error(self):
         # a column holding -1e308 and 1e308 has no finite range to draw a
-        # threshold in, and fit once redrew forever: run it in a child
+        # threshold in, and a redraw loop would never end: run it in a child
         # process that is killed after the timeout, with warnings as errors
         code = textwrap.dedent(
             """
@@ -630,12 +630,12 @@ class TestGrowTreeMatchesFit:
         # table and a sampler on that generator must build it bit for bit
         made = []
 
-        class Recorded(RandomSplitSampler):
-            def __init__(self, rng):
-                super().__init__(rng)
-                made.append(self)
+        class Recorded(extratrees._Replay):
+            def __init__(self, bit_generators, reserve):
+                super().__init__(bit_generators, reserve)
+                made.append(bit_generators)
 
-        monkeypatch.setattr(extratrees, "RandomSplitSampler", Recorded)
+        monkeypatch.setattr(extratrees, "_Replay", Recorded)
         for seed in (0, 83, 2**64 - 1):
             made.clear()
             params = ExtraTreesParams(
@@ -648,8 +648,8 @@ class TestGrowTreeMatchesFit:
             for name in ("feature", "threshold", "left", "right", "value", "count"):
                 ours, theirs = getattr(fitted, name), getattr(grown, name)
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
-            [used] = made
-            assert used.rng.bit_generator.state == sampler.rng.bit_generator.state
+            [[used]] = made
+            assert used.state == sampler.rng.bit_generator.state
 
 
 class TestDecoder:

@@ -378,7 +378,7 @@ class TestOverflow:
         """Approach A differences the history once before it inverts."""
         history = series(OVERFLOWING)
         ledger = Approach.SEASONAL_DIFF.ledger
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError):
             reconstruct_level(ledger, 0.0, history, history.end.shift(1))
 
     @pytest.mark.parametrize("approach", list(Approach))
@@ -386,5 +386,5 @@ class TestOverflow:
         table = level_table(len(OVERFLOWING))
         columns = {**table.columns, "f0": np.array(OVERFLOWING)}
         table = FeatureTable(table.months, columns, target="target")
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match="column 'f0' values"):
             apply_pipeline(table, approach)
