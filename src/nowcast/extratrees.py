@@ -548,7 +548,13 @@ class ExtraTreesModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ExtraTreesModel":
-        return model_from_dict(json.loads(text))
+        """Decode :meth:`to_json` output; text that is not JSON, or that nests
+        deeper than the decoder recurses, raises :class:`InvalidModelError`."""
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            raise InvalidModelError(f"model document is not decodable JSON: {exc}") from None
+        return model_from_dict(doc)
 
 
 def fit(

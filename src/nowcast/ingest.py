@@ -18,20 +18,22 @@ Their records (:class:`EmployerRecord`, :class:`StormEvent`,
 named tuples (``typing.NamedTuple``), so each also equals the plain tuple
 of its values, and a schema's header is its record type's fields.
 
-A scan holds one row at a time. Across rows it keeps only what a rule
-needs: the unique keys seen so far, the last ordered value and, for
-``validate``, one compact buffer of lines and values per outlier column.
-Each column's check is built from its :class:`Column` once per scan, and
-a column declared to repeat (the employer, storm and monthly-series months,
-dates, counts and categories, whose texts recur within a process) remembers
-up to ``_KNOWN_CELLS`` good cells by their raw text for the life of the
-process, so a repeated cell is not parsed again, in this file or the next.
-Each cell is checked once: a row that passes every check builds no
+A scan holds one block of ``_BLOCK`` rows at a time, and takes each
+column of a block at once. A column declared to repeat (the employer,
+storm and monthly-series months, dates, counts and categories, whose texts
+recur within a process) maps the block through up to ``_KNOWN_CELLS`` good
+cells it remembers by their raw text for the life of the process, so a
+repeated cell is not parsed again, in this file or the next. Any other
+column is stripped and converted with one ``map`` each. Only the cells a
+column does not remember, or a block its conversion fails on, are checked
+one at a time, so a row that passes every check builds no
 :class:`Finding`, and a row that fails gets one finding per bad cell, in
-column order. A scan always reads the file to its end, so
-a file that fails to decode as UTF-8 or to split into CSV fields
-anywhere raises :class:`UnreadableFileError`, even when an earlier row
-is bad.
+column order. Across blocks a scan keeps only what a rule needs: the
+unique keys seen so far, the last ordered value and, for ``validate``, one
+compact buffer of lines and values per outlier column. A scan always reads
+the file to its end, so a file that fails to decode as UTF-8 or to split
+into CSV fields anywhere raises :class:`UnreadableFileError`, even when an
+earlier row is bad.
 :meth:`ValidationReport.write_json` writes a report's JSON one finding at
 a time, in the layout of ``json.dumps(report.to_dict(), indent=2)``.
 """
@@ -46,7 +48,11 @@ import json
 import logging
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, groupby, islice, repeat
+from operator import attrgetter, getitem, is_not, itemgetter, ne
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -146,7 +152,7 @@ class Column:
     minimum: int | None = None
     outliers: bool = False  # joins the robust-outlier pass
     # the column's cells come from a few texts that recur within a process,
-    # so its good cells are remembered by their raw text (see ``_cell``)
+    # so its good cells are remembered by their raw text (see ``_column``)
     repeats: bool = False
 
 
@@ -292,13 +298,25 @@ class ValidationReport:
         fh.write(f',\n  "column_summary": {summary}\n}}')
 
 
-def _rows(path) -> Iterator[list[str]]:
-    """The file's CSV rows, read and decoded one at a time."""
+# rows a scan reads and checks at a time: peak memory grows with it, and
+# larger blocks read the employer panel no faster
+_BLOCK = 64
+
+
+def _blocks(path) -> Iterator[list[list[str]]]:
+    """The file's CSV rows, read and decoded ``_BLOCK`` at a time."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield from csv.reader(fh)
+            reader = csv.reader(fh)
+            while block := list(islice(reader, _BLOCK)):
+                yield block
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UnreadableFileError(f"cannot read {path}: {exc}") from exc
+
+
+def _rows(path) -> Iterator[list[str]]:
+    """The file's CSV rows, one at a time."""
+    return chain.from_iterable(_blocks(path))
 
 
 # good cells a column remembers by their raw text; it starts over when full
@@ -308,33 +326,80 @@ _KNOWN_CELLS = 4096
 # column, so equal columns share them, across scans and across schemas
 _REMEMBERED: dict[Column, dict[str, tuple[str, Any]]] = {}
 
+_TEXT, _VALUE, _FINDING = itemgetter(0), itemgetter(1), itemgetter(2)
 
-def _cell(c: Column, i: int, shared: dict[str, str] | None) -> tuple[Callable, Callable]:
-    """How cell ``i`` of a row is taken as column ``c``: ``(known, check)``.
 
-    ``check(row)`` strips the cell, shares its text through ``shared`` when
-    given and writes the text back into the row (the unique-key rule reads
-    it there), then parses and bounds it. It returns ``(text, value)`` or
-    raises ``_BadCell``. A cell's text and value depend on its raw text
-    alone, so when ``c.repeats`` a good cell is remembered by its raw text
-    in ``_REMEMBERED[c]``, and ``known(raw)`` gives the same pair back
-    without the work (``None`` for a cell not remembered).
+def _nones(seq: list) -> Iterator[int]:
+    """The positions of ``None`` in ``seq``, in order, while the caller fills them."""
+    k = -1
+    for _ in range(seq.count(None)):
+        k = seq.index(None, k + 1)
+        yield k
+
+
+def _vouch(c: Column) -> Callable[[list[str]], list]:
+    """The values of a non-repeating column's stripped texts, taken at once,
+    with ``None`` at every cell the per-cell check must see.
+
+    A number column converts with one ``map`` of the builtin its parse
+    calls; if any cell fails, is not finite or is below the minimum, every
+    cell goes to the check, so each finding reads as the check words it.
     """
-    parse, required, minimum, remember = c.parse, c.required, c.minimum, c.repeats
-    remembered = _REMEMBERED.setdefault(c, {}) if remember else {}
+    if c.parse is str and c.minimum is None:
+        if not c.required:
+            return lambda texts: texts
+        return lambda texts: [t or None for t in texts] if "" in texts else texts
+    number = {_real: float, _integer: int}.get(c.parse)
+    if number is None:
+        return lambda texts: [None] * len(texts)
 
-    def check(row: list[str]) -> tuple[str, Any]:
-        raw = row[i]
+    def vouch(texts: list[str]) -> list:
+        try:
+            values = list(map(number, texts))
+            if number is int:  # beyond the float range is no count either
+                float(max(values)), float(min(values))
+            good = number is int or all(map(math.isfinite, values))
+            if good and (c.minimum is None or min(values) >= c.minimum):
+                return values
+        except (ValueError, OverflowError):
+            pass
+        return [None] * len(texts)
+
+    return vouch
+
+
+def _column(c: Column, order: int, shared: dict[str, str] | None, keyed: bool) -> Callable:
+    """How column ``c`` of a block is taken: ``take(cells, lines, found)``.
+
+    ``take`` gives the cells' values, ``None`` at a bad cell, and, when
+    ``keyed``, their stripped texts (the unique-key rule reads them), shared
+    through ``shared`` when given. Each bad cell appends ``(line, order,
+    finding)`` to ``found``. A cell's text and value depend on its raw text
+    alone, so a repeating column (``c.repeats``) remembers its good cells by
+    their raw text in ``_REMEMBERED[c]`` and maps the block through that
+    memo; only the cells it does not know go through the per-cell check.
+    Any other column is stripped and converted in one ``map`` each
+    (:func:`_vouch`).
+    """
+    parse, required, minimum, name = c.parse, c.required, c.minimum, c.name
+    remembered = _REMEMBERED.setdefault(c, {}) if c.repeats else None
+    vouch = None if c.repeats else _vouch(c)
+
+    def check(raw: str, line: int, found: list) -> tuple[str, Any]:
+        """One cell as ``(text, value)``, the value ``None`` if the cell is bad."""
         text = raw.strip()
         if shared is not None:
             text = shared.setdefault(text, text)
-        row[i] = text
-        if not text and required:
-            raise _BadCell("missing_value", "cell is empty")
-        value = parse(text)
-        if minimum is not None and value < minimum:
-            raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
-        if remember:
+        try:
+            if not text and required:
+                raise _BadCell("missing_value", "cell is empty")
+            value = parse(text)
+            if minimum is not None and value < minimum:
+                raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
+        except _BadCell as bad:
+            found.append((line, order, Finding(name, line, bad.args[0], "error", bad.args[1])))
+            return text, None
+        if remembered is not None:
             # not ``==``: threads that insert between this check and the
             # write can take a shared memo past the cap
             if len(remembered) >= _KNOWN_CELLS:
@@ -342,90 +407,144 @@ def _cell(c: Column, i: int, shared: dict[str, str] | None) -> tuple[Callable, C
             remembered[raw] = (text, value)
         return text, value
 
-    return remembered.get, check
+    def take(cells: Sequence[str], lines: Sequence[int], found: list) -> tuple[list | None, list]:
+        if remembered is not None:
+            pairs = list(map(remembered.get, cells))
+            for k in _nones(pairs) if None in pairs else ():
+                # an earlier cell of the block may have taught it the memo
+                pairs[k] = remembered.get(cells[k]) or check(cells[k], lines[k], found)
+            return list(map(_TEXT, pairs)) if keyed else None, list(map(_VALUE, pairs))
+        texts = list(map(str.strip, cells))
+        if shared is not None:
+            texts = list(map(shared.setdefault, texts, texts))
+        values = vouch(texts)
+        for k in _nones(values) if None in values else ():
+            values[k] = check(cells[k], lines[k], found)[1]
+        return texts, values
+
+    return take
 
 
-def _scan(path, spec: Schema) -> Iterator[tuple[int, list | None, list[Finding]]]:
-    """Yield ``(line, values, findings)`` for each data row, in file order.
+def _scan(path, spec: Schema) -> Iterator[tuple[int, int, list[list] | None, list[Finding]]]:
+    """Yield ``(line, rows, columns, findings)`` for each block of data rows.
 
-    ``values`` are the row's cells parsed in header order, ``None`` where a
-    cell is bad, or ``None`` as a whole for a wrong field count and for the
-    file-level findings: a wrong header (which ends the scan), no data rows.
-    Each cell is taken by its column's check (:func:`_cell`), built once
-    per scan: a row whose cells all pass builds no finding, and a row gets
-    one finding per bad cell, in column order. Rows are read one at a time, and
-    the file is always read to its end, so a failure to read any part of it
-    raises ``UnreadableFileError`` however the consumer treats the findings
-    before it.
+    ``line`` is the block's first file line and ``rows`` its row count;
+    ``columns`` holds one list of parsed values per header column, ``None``
+    at a bad cell and at a row with a wrong field count. The file-level
+    findings, a wrong header (which ends the scan) and no data rows, come
+    as a block of no rows and no columns. Findings are in file order, and a
+    row's come in column order, then ``duplicate``, ``ordering``, ``gap``
+    and ``convention``; a row with a wrong field count gets only its
+    ``field_count`` finding. Each column of a block is taken at once
+    (:func:`_column`). The file is always read to its end, so a failure
+    to read any part of it raises ``UnreadableFileError`` however the
+    consumer treats the findings before it.
     """
-    rows = _rows(path)
-    header = next(rows, None)
-    if header is None:
+    blocks = _blocks(path)
+    first = next(blocks, None)
+    if first is None:
         raise UnreadableFileError(f"{path} is empty (missing header)")
+    header = first[0]
     if tuple(header) != spec.header:
-        for _ in rows:  # a read failure further on still wins
+        for _ in blocks:  # a read failure further on still wins
             pass
         got = f"expected {','.join(spec.header)!r}, got {','.join(header)!r}"
-        yield 1, None, [Finding("<header>", 1, "header_mismatch", "error", got)]
+        yield 1, 0, None, [Finding("<header>", 1, "header_mismatch", "error", got)]
         return
     width = len(spec.header)
     index = {name: i for i, name in enumerate(spec.header)}
     # one object per distinct text of the text and key columns, which the
     # records and ``seen`` then share
     shared: dict[str, str] = {}
-    cells = []
-    for c in spec.columns:
-        share = c.parse is str or c.name in spec.unique
-        cells.append((c.name, index[c.name], *_cell(c, index[c.name], shared if share else None)))
+    takes = []
+    for order, c in enumerate(spec.columns):
+        keyed = c.name in spec.unique
+        share = shared if c.parse is str or keyed else None
+        takes.append((index[c.name], _column(c, order, share, keyed)))
+    # the rules across rows rank after a row's cells: duplicate, ordering, gap, convention
+    rules = len(spec.columns)
     # the line that first had each key, nested one dict per key column so
     # that no row leaves a key tuple behind
-    seen: dict = {}
     key = [index[name] for name in spec.unique]
-    *outer, last = key or [None]
+    make: Callable = dict
+    for _ in key[1:]:
+        make = partial(defaultdict, make)
+    seen = make()
     ordered = (spec.increasing, spec.contiguous, spec.saturdays)
     increasing, contiguous, saturdays = map(index.get, ordered)
     last_increasing = last_contiguous = None
-    line = 1
-    for line, row in enumerate(rows, 2):
-        if len(row) != width:
-            message = f"expected {width} fields, got {len(row)}"
-            yield line, None, [Finding("<row>", line, "field_count", "error", message)]
+    line = 2
+    for rows in chain((first[1:],), blocks):
+        if not rows:
             continue
-        found: list[Finding] = []
-        values = [None] * width
-        for name, i, known, check in cells:
-            try:
-                row[i], values[i] = known(row[i]) or check(row)
-            except _BadCell as bad:
-                found.append(Finding(name, line, bad.args[0], "error", bad.args[1]))
-        if key and values[key[0]] is not None:
-            level = seen
-            for i in outer:
-                if (inner := level.get(row[i])) is None:
-                    inner = level[row[i]] = {}
-                level = inner
-            first = level.setdefault(row[last], line)
-            if first != line:
-                repeat = spec.duplicate.format(*[row[i] for i in key])
-                message = f"{repeat} (first at line {first})"
-                found.append(Finding(spec.unique[0], line, "duplicate", "error", message))
-        if increasing is not None and (value := values[increasing]) is not None:
-            if last_increasing is not None and value <= last_increasing:
-                message = f"{value} not after {last_increasing}"
-                found.append(Finding(spec.increasing, line, "ordering", "error", message))
-            last_increasing = value
-        if contiguous is not None and (value := values[contiguous]) is not None:
-            if last_contiguous is not None and value - last_contiguous != 1:
-                message = f"{value} does not immediately follow {last_contiguous}"
-                found.append(Finding(spec.contiguous, line, "gap", "error", message))
-            last_contiguous = value
-        if saturdays is not None and (value := values[saturdays]) is not None:
-            if value.weekday() != 5:
-                message = f"{value} is not a Saturday"
-                found.append(Finding(spec.saturdays, line, "convention", "warning", message))
-        yield line, values, found
-    if spec.needs_rows and line == 1:
-        yield 1, None, [Finding("<file>", 1, "no_data", "error", "no data rows")]
+        n = len(rows)
+        found: list[tuple[int, int, Finding]] = []
+        good, lines = rows, range(line, line + n)
+        if {*map(len, rows)} != {width}:
+            fits = [len(row) == width for row in rows]
+            good = list(compress(rows, fits))
+            for at, row in zip(lines, rows):
+                if len(row) != width:
+                    message = f"expected {width} fields, got {len(row)}"
+                    found.append((at, 0, Finding("<row>", at, "field_count", "error", message)))
+            lines = list(compress(lines, fits))
+        cells = list(zip(*good)) or [()] * width
+        texts: list = [None] * width
+        values: list = [None] * width
+        for i, take in takes:
+            texts[i], values[i] = take(cells[i], lines, found)
+        if key:
+            keys, keyed = [texts[i] for i in key], lines
+            if None in values[key[0]]:  # a row is keyed only when its first key cell is good
+                ok = list(map(is_not, values[key[0]], repeat(None)))
+                keys, keyed = [list(compress(t, ok)) for t in keys], list(compress(keyed, ok))
+            *outer, last = keys
+            levels: Iterator = repeat(seen)
+            for texts_at in outer:
+                levels = map(getitem, levels, texts_at)
+            firsts = list(map(dict.setdefault, levels, last, keyed))
+            if any(map(ne, firsts, keyed)):
+                for k, (at, first_at) in enumerate(zip(keyed, firsts)):
+                    if first_at != at:
+                        repeat_of = spec.duplicate.format(*[t[k] for t in keys])
+                        message = f"{repeat_of} (first at line {first_at})"
+                        finding = Finding(spec.unique[0], at, "duplicate", "error", message)
+                        found.append((at, rules, finding))
+        if increasing is not None:
+            for at, value in zip(lines, values[increasing]):
+                if value is not None:
+                    if last_increasing is not None and value <= last_increasing:
+                        message = f"{value} not after {last_increasing}"
+                        finding = Finding(spec.increasing, at, "ordering", "error", message)
+                        found.append((at, rules + 1, finding))
+                    last_increasing = value
+        if contiguous is not None:
+            for at, value in zip(lines, values[contiguous]):
+                if value is not None:
+                    if last_contiguous is not None and value - last_contiguous != 1:
+                        message = f"{value} does not immediately follow {last_contiguous}"
+                        finding = Finding(spec.contiguous, at, "gap", "error", message)
+                        found.append((at, rules + 2, finding))
+                    last_contiguous = value
+        if saturdays is not None:
+            for at, value in zip(lines, values[saturdays]):
+                if value is not None and value.weekday() != 5:
+                    message = f"{value} is not a Saturday"
+                    finding = Finding(spec.saturdays, at, "convention", "warning", message)
+                    found.append((at, rules + 3, finding))
+        if len(good) < n:  # each wrong-width row holds None in every column
+            values = [_spread(column, fits) for column in values]
+        found.sort()
+        yield line, n, values, list(map(_FINDING, found))
+        line += n
+    if spec.needs_rows and line == 2:
+        yield 1, 0, None, [Finding("<file>", 1, "no_data", "error", "no data rows")]
+
+
+def _spread(column: list, fits: list[bool]) -> list:
+    """``column``'s values at the rows that fit, ``None`` at the others."""
+    values = iter(column)
+    return [next(values) if fit else None for fit in fits]
 
 
 def _outliers(columns: list[tuple[str, array, array]]) -> list[Finding]:
@@ -466,12 +585,17 @@ def validate(path, schema: str) -> ValidationReport:
         if c.outliers
     ]
     findings: list[Finding] = []
-    for line, values, found in _scan(path, spec):
+    for line, n, columns, found in _scan(path, spec):
         findings += found
-        for _, i, lines, numbers in watched if values else ():
-            if (value := values[i]) is not None:
-                lines.append(line)
-                numbers.append(value)
+        for _, i, lines, numbers in watched if columns else ():
+            column = columns[i]
+            if None in column:
+                good = list(map(is_not, column, repeat(None)))
+                lines.extend(compress(range(line, line + n), good))
+                numbers.extend(compress(column, good))
+            else:
+                lines.extend(range(line, line + n))
+                numbers.extend(column)
     # a column's outliers follow those of the columns with an earlier first good value
     columns = [(name, lines, numbers) for name, _, lines, numbers in watched if lines]
     columns.sort(key=lambda c: c[1][0])
@@ -485,18 +609,14 @@ def _read(path, spec: Schema) -> list:
     The rest of the file is still scanned, so that a failure to read it
     raises ``UnreadableFileError`` instead.
     """
-    records = []
+    records: list = []
     error = None
-    for _, values, found in _scan(path, spec):
-        if error is not None:
-            continue
-        for f in found:
-            if f.severity == "error":
-                error = f
-                break
-        else:
-            # a good row has one value per field, in the record's order
-            records.append(tuple.__new__(spec.record, values))
+    for _, _, columns, found in _scan(path, spec):
+        if error is None:
+            error = next((f for f in found if f.severity == "error"), None)
+            if error is None:
+                # a good row has one value per field, in the record's order
+                records += map(tuple.__new__, repeat(spec.record), zip(*columns))
     if error is not None:
         raise MalformedFileError(f"{path}:{error.row}: {error.column}: {error.message}")
     return records
@@ -536,12 +656,7 @@ def matched_panel_aggregate(records: Sequence[EmployerRecord]) -> MonthlySeries:
     provider's client base never masquerade as employment change. The
     result is a change series, not a level.
     """
-    by_month: dict[MonthKey, dict[str, int]] = {}
-    for r in records:
-        month = by_month.setdefault(r.month, {})
-        if r.employer_id in month:
-            raise ValueError(f"duplicate record for employer {r.employer_id!r} in {r.month}")
-        month[r.employer_id] = r.active_employees
+    by_month = _by_month(records)
     if not by_month:
         raise TooShortError("no employer records")
     first, last = min(by_month), max(by_month)
@@ -558,13 +673,46 @@ def matched_panel_aggregate(records: Sequence[EmployerRecord]) -> MonthlySeries:
             logger.warning("no employer spans %s..%s; emitting 0", cur_month.shift(-1), cur_month)
             values.append(0.0)
         else:
-            values.append(float(sum(cur[e] for e in panel) - sum(prev[e] for e in panel)))
+            # exact integer sums, so the order of the panel does not matter
+            change = sum(map(cur.__getitem__, panel)) - sum(map(prev.__getitem__, panel))
+            values.append(float(change))
     return MonthlySeries(
         first.shift(1),
         np.array(values),
         name="matched_panel_change",
         units="persons (matched-panel change)",
     )
+
+
+_MONTH_OF = attrgetter("month")
+_EMPLOYER_OF = attrgetter("employer_id")
+_COUNT_OF = attrgetter("active_employees")
+
+
+def _by_month(records: Sequence[EmployerRecord]) -> dict[MonthKey, dict[str, int]]:
+    """Each month's active employees by employer id.
+
+    A file lists a month's records together, so each run of one month
+    becomes one dict at once. A run that repeats an id, or that meets an
+    earlier run of its month, sends every record through the per-record
+    loop, which names the first repeat.
+    """
+    by_month: dict[MonthKey, dict[str, int]] = {}
+    for month, run in groupby(records, _MONTH_OF):
+        run = list(run)
+        counts = dict(zip(map(_EMPLOYER_OF, run), map(_COUNT_OF, run)))
+        if len(counts) < len(run) or month in by_month:
+            break
+        by_month[month] = counts
+    else:
+        return by_month
+    by_month = {}
+    for r in records:
+        month = by_month.setdefault(r.month, {})
+        if r.employer_id in month:
+            raise ValueError(f"duplicate record for employer {r.employer_id!r} in {r.month}")
+        month[r.employer_id] = r.active_employees
+    return by_month
 
 
 def _saturdays_in(year: int, month: int) -> list[dt.date]:

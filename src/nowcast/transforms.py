@@ -61,12 +61,14 @@ def one_hot_month(month: MonthKey) -> OneHotVector:
 def _difference(values: np.ndarray, lag: int) -> np.ndarray:
     """``values[t] - values[t - lag]`` for every ``t`` with a value ``lag`` places back.
 
-    A difference past the float range is infinite, without a numpy warning;
-    the table or reconstruction built from it raises :class:`NonFiniteError`.
+    A difference past the float range is infinite, and the difference of
+    two equal infinities (a seasonal step over infinite first differences)
+    is NaN. Neither warns; the table or reconstruction built from it raises
+    :class:`NonFiniteError`.
     """
     if len(values) <= lag:
         raise TooShortError(f"need more than {lag} values to difference, got {len(values)}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return values[lag:] - values[:-lag]
 
 

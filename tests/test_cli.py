@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -22,6 +23,24 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_the_cli_imports_only_the_standard_library_numpy_and_itself():
+    # the benchmark's setup_s times ``import nowcast.cli`` in fresh
+    # interpreters, so a third-party import there is a cost on every run
+    probe = (
+        "import sys; before = set(sys.modules); import nowcast.cli; "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = Path(nowcast.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = ast.literal_eval(proc.stdout)
+    assert {"nowcast", "numpy"} <= set(added)
+    assert [m for m in added if m not in sys.stdlib_module_names | {"nowcast", "numpy"}] == []
 
 
 class TestValidateCommand:
@@ -280,6 +299,33 @@ class TestBacktestCommand:
         assert "Warning" not in proc.stderr
         [line] = proc.stderr.splitlines()
         assert line == f"error: {message}"
+
+    def test_an_infinite_first_difference_exits_one_without_warnings(self, tmp_path):
+        # under approach A the feature's first differences hold -inf twice,
+        # 12 months apart, so its seasonal step meets inf - inf; the child
+        # runs under Python's default warning filters, where a numpy
+        # RuntimeWarning would print to stderr
+        months = [f"{2020 + i // 12}-{i % 12 + 1:02d}" for i in range(25)]
+        feature = [0.0] * 25
+        feature[4:6] = feature[16:18] = [sys.float_info.max, -sys.float_info.max]
+        target = [100.0 + i * 1.5 + (i % 3) for i in range(25)]
+        for name, values in (("target", target), ("feature", feature)):
+            rows = [f"{month},{value!r}" for month, value in zip(months, values)]
+            (tmp_path / f"{name}.csv").write_text("\n".join(["month,value", *rows]) + "\n")
+        args = [
+            "backtest", "--target", str(tmp_path / "target.csv"),
+            "--features", str(tmp_path / "feature.csv"), "--approach", "A",
+            "--min-train", "24", "--seed", "0", "--n-trees", "3", "--out", str(tmp_path / "out"),
+        ]
+        src = Path(nowcast.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "nowcast", *args],
+            capture_output=True, text=True, timeout=60, cwd=src,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Warning" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line == "error: column 'feature' values contain NaN or infinite entries"
 
     def test_malformed_target_exits_one_naming_file_and_line(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "target.csv").read_text().splitlines(keepends=True)

@@ -485,6 +485,26 @@ class TestMalformedDocuments:
         with pytest.raises(InvalidModelError):
             ExtraTreesModel.from_json("[]")
 
+    @pytest.mark.parametrize("text", ["{", "", '{"schema_version": 1,', "nan?"])
+    def test_text_that_is_not_json(self, text):
+        with pytest.raises(InvalidModelError, match="not decodable JSON"):
+            ExtraTreesModel.from_json(text)
+
+    def test_a_document_deeper_than_the_decoder_recurses(self):
+        # a well-formed version-1 document whose one tree is a chain of 5,000
+        # splits; the stdlib decoder recurses once per level
+        depth = 5000
+        doc = small_document()
+        doc["params"]["n_trees"] = 1
+        doc["trees"] = ["TREE"]
+        leaf = '{"kind": "leaf", "value": 1.0, "count": 1}'
+        split = '{"kind": "split", "feature_index": 0, "threshold": 0.5, "left": %s, "right": '
+        split %= leaf
+        tree = split * depth + leaf + "}" * depth
+        text = json.dumps(doc).replace('"TREE"', tree)
+        with pytest.raises(InvalidModelError, match="not decodable JSON"):
+            ExtraTreesModel.from_json(text)
+
 
 class TestSampler:
     def test_draws_match_scalar_generator_calls(self):

@@ -450,6 +450,86 @@ def test_the_scan_gives_what_the_per_cell_scan_gave(tmp_path_factory, case, know
     assert got == want
 
 
+def reference_outcome(path, schema):
+    """The oracle's report and records (or error) for a file."""
+    spec = SCHEMAS[schema]
+    want = records_or_error(lambda p: reference_read(p, spec), path)
+    if schema == "monthly-series" and not want.startswith("MalformedFileError"):
+        rows = reference_read(path, spec)
+        want = repr(MonthlySeries(rows[0].month, np.array([r.value for r in rows]), path.stem))
+    return reference_validate(path, schema), want
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files(), st.sampled_from([1, 2, 3, ingest._BLOCK]))
+def test_blocks_of_any_size_give_what_the_per_cell_scan_gave(tmp_path_factory, case, block):
+    # blocks of 1 to 3 rows cut the oracle's files of up to 7 rows anywhere,
+    # the header's block included
+    schema, text = case
+    path = tmp_path_factory.mktemp("blocks") / f"{schema}.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(ingest, "_BLOCK", block):
+        got = validate(path, schema), records_or_error(READERS[schema], path)
+    assert got == reference_outcome(path, schema)
+
+
+def block_lines(rows: int) -> tuple[int, int]:
+    """The file lines of the first and the last row of data block ``rows // _BLOCK``:
+    the header fills the first block's first row."""
+    first = rows // ingest._BLOCK * ingest._BLOCK + 1
+    return first, first + ingest._BLOCK - 1
+
+
+def test_rules_across_rows_hold_across_block_boundaries(tmp_path):
+    # files of 2.5 blocks whose row rules meet rows of an earlier block
+    n = ingest._BLOCK * 5 // 2
+    second_first, second_last = block_lines(ingest._BLOCK)
+    third_first, _ = block_lines(2 * ingest._BLOCK)
+
+    employer = [f"E{i},2021-01,{i},retail,1-9" for i in range(n)]
+    employer[second_first + 3 - 2] = "E1,2021-01,5,retail,1-9"  # E1 is on line 3
+    employer[second_first - 2] += ",extra"  # a block's first row
+    employer[second_last - 2] = "E9,2021-01"  # and its last
+    weeks = [dt.date(2017, 1, 7) + dt.timedelta(weeks=i) for i in range(n)]
+    swap = slice(second_first - 3, second_first - 1)  # a block's last row and the next one's first
+    weeks[swap] = weeks[swap][::-1]
+    weeks[third_first - 2] = weeks[2]  # a week of the first block again
+    claims = [f"{w},{i},{i + 1}" for i, w in enumerate(weeks)]
+    months = [MonthKey(2000, 1).shift(i + (i >= third_first - 2)) for i in range(n)]
+    series = [f"{m},{i}.5" for i, m in enumerate(months)]
+    files = {
+        "employer": (EMPLOYER_HEADER, employer),
+        "claims": (CLAIMS_HEADER, claims),
+        "monthly-series": ("month,value\n", series),
+    }
+    want = {
+        "employer": {
+            (second_first, "field_count"), (second_last, "field_count"),
+            (second_first + 3, "duplicate"),
+        },
+        "claims": {
+            (second_first, "ordering"), (third_first, "duplicate"), (third_first, "ordering"),
+        },
+        "monthly-series": {(third_first, "gap")},
+    }
+    for schema, (header, rows) in files.items():
+        path = write(tmp_path, f"{schema}.csv", header + "\n".join(rows) + "\n")
+        report = validate(path, schema)
+        errors = {(f.row, f.kind) for f in report.findings if f.severity == "error"}
+        assert errors == want[schema], schema
+        assert (report, records_or_error(READERS[schema], path)) == reference_outcome(path, schema)
+
+
+def test_an_undecodable_last_line_wins_over_a_bad_row_blocks_before(tmp_path):
+    n = ingest._BLOCK * 5 // 2
+    rows = "".join(f"{MonthKey(2000, 1).shift(i)},{'x' if i == 1 else i}\n" for i in range(n))
+    path = tmp_path / "series.csv"
+    path.write_bytes(f"month,value\n{rows}".encode() + b"2099-01,\xff\n")
+    for read in (read_monthly_series_csv, lambda p: validate(p, "monthly-series")):
+        with pytest.raises(UnreadableFileError, match="can't decode byte 0xff"):
+            read(path)
+
+
 def test_a_memo_past_its_cap_starts_over(tmp_path):
     # a column's memo outlives its scan, so it can hold more cells than a
     # lowered cap; it must start over then, not grow for good
@@ -652,6 +732,23 @@ class TestMatchedPanel:
         ]
         with pytest.raises(ValueError):
             matched_panel_aggregate(records)
+
+    def test_a_repeat_in_a_later_run_of_its_month_is_named(self):
+        # January comes in two runs with February between them, and only the
+        # second January run repeats an employer of the first
+        jan, feb = MonthKey(2021, 1), MonthKey(2021, 2)
+        records = [
+            EmployerRecord("X", jan, 10, "s", "a"),
+            EmployerRecord("Y", jan, 5, "s", "a"),
+            EmployerRecord("X", feb, 12, "s", "a"),
+            EmployerRecord("Z", jan, 7, "s", "a"),
+            EmployerRecord("Y", jan, 6, "s", "a"),
+        ]
+        with pytest.raises(ValueError, match=r"^duplicate record for employer 'Y' in 2021-01$"):
+            matched_panel_aggregate(records)
+        # without the repeat, the split month is one panel month
+        series = matched_panel_aggregate(records[:4])
+        np.testing.assert_array_equal(series.values, [2.0])
 
 
 class TestClaimsAggregation:
