@@ -522,7 +522,7 @@ class _Lockstep:
 @dataclass(frozen=True, eq=False)
 class ExtraTreesModel:
     """A fitted ensemble: one tree per ``params.n_trees``, the hyperparameters,
-    and one finite importance per feature name."""
+    distinct feature names and one finite importance per name."""
 
     trees: tuple[Tree, ...]
     params: ExtraTreesParams
@@ -534,6 +534,8 @@ class ExtraTreesModel:
             raise InvalidParamsError(
                 f"model has {len(self.trees)} trees for n_trees={self.params.n_trees}"
             )
+        if len(set(self.feature_names)) < len(self.feature_names):
+            raise InvalidParamsError(f"feature names repeat: {list(self.feature_names)}")
         importances = _read_only(self.importances)
         if importances.shape != (len(self.feature_names),):
             raise InvalidParamsError(
@@ -677,8 +679,18 @@ def model_to_dict(model: ExtraTreesModel) -> dict:
     }
 
 
+def _whole(value, what: str) -> int:
+    """A JSON integer: an ``int``, not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidModelError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _finite(value, what: str) -> float:
-    number = float(value)
+    """A JSON number (an ``int`` or a ``float``, not a ``bool``) as a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidModelError(f"{what} must be a number, got {value!r}")
+    number = float(value)  # an integer beyond the float range raises OverflowError
     if not math.isfinite(number):
         raise InvalidModelError(f"{what} must be finite, got {value!r}")
     return number
@@ -695,10 +707,12 @@ def _tree_from_dict(doc: dict, n_features: int) -> Tree:
         kind = d["kind"]
         if kind == "leaf":
             number.append(_finite(d["value"], "leaf value"))
-            count.append(int(d["count"]))
+            count.append(_whole(d["count"], "leaf count"))
+            if count[-1] < 1:
+                raise InvalidModelError(f"leaf count must be at least 1, got {count[-1]}")
             feature.append(-1)
         elif kind == "split":
-            index = int(d["feature_index"])
+            index = _whole(d["feature_index"], "feature_index")
             if not 0 <= index < n_features:
                 raise InvalidModelError(
                     f"feature_index {index} is outside the {n_features} feature names"
@@ -728,19 +742,20 @@ def model_from_dict(d: dict) -> ExtraTreesModel:
     try:
         p = d["params"]
         params = ExtraTreesParams(
-            n_trees=int(p["n_trees"]),
-            k_features=None if p["k_features"] is None else int(p["k_features"]),
-            min_samples_split=int(p["min_samples_split"]),
-            seed=int(p["seed"]),
+            n_trees=_whole(p["n_trees"], "n_trees"),
+            k_features=None if p["k_features"] is None else _whole(p["k_features"], "k_features"),
+            min_samples_split=_whole(p["min_samples_split"], "min_samples_split"),
+            seed=_whole(p["seed"], "seed"),
         )
-        names = tuple(d["feature_names"])
-        if not all(isinstance(name, str) for name in names):
-            raise InvalidModelError("feature names must be strings")
+        names = d["feature_names"]
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise InvalidModelError("feature names must be a list of strings")
         trees = tuple(_tree_from_dict(t, len(names)) for t in d["trees"])
-        return ExtraTreesModel(trees, params, names, d["importances"])
+        importances = [_finite(v, "importance") for v in d["importances"]]
+        return ExtraTreesModel(trees, params, tuple(names), importances)
     except InvalidModelError:
         raise
     except KeyError as exc:
         raise InvalidModelError(f"model document lacks key {exc}") from None
-    except (TypeError, ValueError, InvalidParamsError) as exc:
+    except (TypeError, ValueError, OverflowError, InvalidParamsError) as exc:
         raise InvalidModelError(f"malformed model document: {exc}") from None

@@ -18,22 +18,17 @@ Their records (:class:`EmployerRecord`, :class:`StormEvent`,
 named tuples (``typing.NamedTuple``), so each also equals the plain tuple
 of its values, and a schema's header is its record type's fields.
 
-A scan holds one block of ``_BLOCK`` rows at a time, and takes each
-column of a block at once. A column declared to repeat (the employer,
-storm and monthly-series months, dates, counts and categories, whose texts
-recur within a process) maps the block through up to ``_KNOWN_CELLS`` good
-cells it remembers by their raw text for the life of the process, so a
-repeated cell is not parsed again, in this file or the next. Any other
-column is stripped and converted with one ``map`` each. Only the cells a
-column does not remember, or a block its conversion fails on, are checked
-one at a time, so a row that passes every check builds no
-:class:`Finding`, and a row that fails gets one finding per bad cell, in
-column order. Across blocks a scan keeps only what a rule needs: the
-unique keys seen so far, the last ordered value and, for ``validate``, one
-compact buffer of lines and values per outlier column. A scan always reads
-the file to its end, so a file that fails to decode as UTF-8 or to split
-into CSV fields anywhere raises :class:`UnreadableFileError`, even when an
-earlier row is bad.
+A scan holds one block of ``_BLOCK`` rows at a time. Each column of a
+block maps its parser over its cells once, and only the cells the parser
+or the column rejects are checked one at a time, so a good row builds no
+:class:`Finding` and a bad row gets one per bad cell, in column order. The
+month, date and count parsers keep the last ``_KNOWN_CELLS`` values they
+returned for the process, so the months of every file of a run are parsed
+once. Across blocks a scan keeps only the unique keys seen so far, the
+last ordered value and, for ``validate``, one buffer of lines and values
+per outlier column. A scan reads the file to its end, so a file that fails
+to decode or to split into CSV fields anywhere raises
+:class:`UnreadableFileError`, even when an earlier row is bad.
 :meth:`ValidationReport.write_json` writes a report's JSON one finding at
 a time, in the layout of ``json.dumps(report.to_dict(), indent=2)``.
 """
@@ -50,7 +45,7 @@ import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, compress, groupby, islice, repeat
 from operator import attrgetter, getitem, is_not, itemgetter, ne
 from pathlib import Path
@@ -101,6 +96,12 @@ class _BadCell(Exception):
     """A cell its column rejects; ``args`` are the finding's kind and message."""
 
 
+# texts each cached parser keeps with its value: those whose texts recur
+# within a process; a text it rejects raises ``_BadCell`` and is not kept
+_KNOWN_CELLS = 4096
+
+
+@lru_cache(_KNOWN_CELLS)
 def _month(text: str) -> MonthKey:
     try:
         return MonthKey.parse(text)
@@ -108,7 +109,9 @@ def _month(text: str) -> MonthKey:
         raise _BadCell("non_parseable", f"not a YYYY-MM month: {text!r}") from None
 
 
+@lru_cache(_KNOWN_CELLS)
 def _date(text: str) -> dt.date:
+    text = text.strip()
     try:
         if (value := dt.date.fromisoformat(text)).isoformat() == text:  # not 20200104, 2020-W02-6
             return value
@@ -117,8 +120,10 @@ def _date(text: str) -> dt.date:
     raise _BadCell("non_parseable", f"not a YYYY-MM-DD date: {text!r}")
 
 
+@lru_cache(_KNOWN_CELLS)
 def _integer(text: str) -> int:
     """Exactly what ``int()`` takes; a number it refuses is a type mismatch."""
+    text = text.strip()
     try:
         value = int(text)
         float(value)  # beyond the float range is no count either
@@ -144,16 +149,13 @@ def _real(text: str) -> float:
 
 @dataclass(frozen=True)
 class Column:
-    """How one column's cells are read: stripped, then parsed and bounded."""
+    """How one column's cells are read: parsed, then bounded."""
 
     name: str
     parse: Callable[[str], Any]  # raises _BadCell
     required: bool = True  # an empty cell is a missing_value error
     minimum: int | None = None
     outliers: bool = False  # joins the robust-outlier pass
-    # the column's cells come from a few texts that recur within a process,
-    # so its good cells are remembered by their raw text (see ``_column``)
-    repeats: bool = False
 
 
 @dataclass(frozen=True)
@@ -180,11 +182,11 @@ class Schema:
 SCHEMAS: dict[str, Schema] = {
     "employer": Schema(
         columns=(
-            Column("month", _month, repeats=True),
-            Column("active_employees", _integer, minimum=0, outliers=True, repeats=True),
+            Column("month", _month),
+            Column("active_employees", _integer, minimum=0, outliers=True),
             Column("employer_id", str),
-            Column("sector", str, required=False, repeats=True),
-            Column("size_band", str, required=False, repeats=True),
+            Column("sector", str, required=False),
+            Column("size_band", str, required=False),
         ),
         record=EmployerRecord,
         unique=("employer_id", "month"),
@@ -192,10 +194,10 @@ SCHEMAS: dict[str, Schema] = {
     ),
     "storm": Schema(
         columns=(
-            Column("state", str, required=False, repeats=True),
-            Column("event_type", str, required=False, repeats=True),
-            Column("begin_date", _date, repeats=True),
-            Column("injuries", _integer, minimum=0, outliers=True, repeats=True),
+            Column("state", str, required=False),
+            Column("event_type", str, required=False),
+            Column("begin_date", _date),
+            Column("injuries", _integer, minimum=0, outliers=True),
             Column("damage_usd", _real, minimum=0, outliers=True),
         ),
         record=StormEvent,
@@ -213,7 +215,7 @@ SCHEMAS: dict[str, Schema] = {
         saturdays="week_ending",
     ),
     "monthly-series": Schema(
-        columns=(Column("value", _real, outliers=True), Column("month", _month, repeats=True)),
+        columns=(Column("value", _real, outliers=True), Column("month", _month)),
         record=_Observation,
         contiguous="month",
         needs_rows=True,
@@ -222,11 +224,7 @@ SCHEMAS: dict[str, Schema] = {
 
 
 class Finding(NamedTuple):
-    """One validation issue. ``row`` is the 1-based file line (header = 1).
-
-    A named tuple, like the records, so a finding equals the plain tuple of
-    its fields.
-    """
+    """One validation issue. ``row`` is the 1-based file line (header = 1)."""
 
     column: str
     row: int
@@ -319,77 +317,28 @@ def _rows(path) -> Iterator[list[str]]:
     return chain.from_iterable(_blocks(path))
 
 
-# good cells a column remembers by their raw text; it starts over when full
-_KNOWN_CELLS = 4096
-# the remembered cells of each repeating column, kept for the process: a
-# cell's text and value depend only on its raw text and its (immutable)
-# column, so equal columns share them, across scans and across schemas
-_REMEMBERED: dict[Column, dict[str, tuple[str, Any]]] = {}
-
-_TEXT, _VALUE, _FINDING = itemgetter(0), itemgetter(1), itemgetter(2)
+_FINDING = itemgetter(2)
+_PRESENT = partial(is_not, None)
 
 
-def _nones(seq: list) -> Iterator[int]:
-    """The positions of ``None`` in ``seq``, in order, while the caller fills them."""
-    k = -1
-    for _ in range(seq.count(None)):
-        k = seq.index(None, k + 1)
-        yield k
+def _column(c: Column, order: int) -> Callable:
+    """How column ``c`` of a block is taken: ``take(cells, lines, found)``
+    gives the cells' values, ``None`` at a bad cell, and appends ``(line,
+    order, finding)`` to ``found`` for each bad cell.
 
-
-def _vouch(c: Column) -> Callable[[list[str]], list]:
-    """The values of a non-repeating column's stripped texts, taken at once,
-    with ``None`` at every cell the per-cell check must see.
-
-    A number column converts with one ``map`` of the builtin its parse
-    calls; if any cell fails, is not finite or is below the minimum, every
-    cell goes to the check, so each finding reads as the check words it.
-    """
-    if c.parse is str and c.minimum is None:
-        if not c.required:
-            return lambda texts: texts
-        return lambda texts: [t or None for t in texts] if "" in texts else texts
-    number = {_real: float, _integer: int}.get(c.parse)
-    if number is None:
-        return lambda texts: [None] * len(texts)
-
-    def vouch(texts: list[str]) -> list:
-        try:
-            values = list(map(number, texts))
-            if number is int:  # beyond the float range is no count either
-                float(max(values)), float(min(values))
-            good = number is int or all(map(math.isfinite, values))
-            if good and (c.minimum is None or min(values) >= c.minimum):
-                return values
-        except (ValueError, OverflowError):
-            pass
-        return [None] * len(texts)
-
-    return vouch
-
-
-def _column(c: Column, order: int, shared: dict[str, str] | None, keyed: bool) -> Callable:
-    """How column ``c`` of a block is taken: ``take(cells, lines, found)``.
-
-    ``take`` gives the cells' values, ``None`` at a bad cell, and, when
-    ``keyed``, their stripped texts (the unique-key rule reads them), shared
-    through ``shared`` when given. Each bad cell appends ``(line, order,
-    finding)`` to ``found``. A cell's text and value depend on its raw text
-    alone, so a repeating column (``c.repeats``) remembers its good cells by
-    their raw text in ``_REMEMBERED[c]`` and maps the block through that
-    memo; only the cells it does not know go through the per-cell check.
-    Any other column is stripped and converted in one ``map`` each
-    (:func:`_vouch`).
+    Text and key columns are given the block's stripped texts, which are a
+    text column's values. Any other column maps its parser over the cells
+    once; a cell the parser rejects goes through the per-cell check, which
+    words its finding, and the map resumes after it. Cells that pass the
+    parser but not the column (an empty required text, a value below the
+    minimum) are looked for one by one only when a test over the block
+    finds one.
     """
     parse, required, minimum, name = c.parse, c.required, c.minimum, c.name
-    remembered = _REMEMBERED.setdefault(c, {}) if c.repeats else None
-    vouch = None if c.repeats else _vouch(c)
 
-    def check(raw: str, line: int, found: list) -> tuple[str, Any]:
-        """One cell as ``(text, value)``, the value ``None`` if the cell is bad."""
+    def check(raw: str, line: int, found: list) -> Any:
+        """One cell's value, or ``None`` with its finding appended to ``found``."""
         text = raw.strip()
-        if shared is not None:
-            text = shared.setdefault(text, text)
         try:
             if not text and required:
                 raise _BadCell("missing_value", "cell is empty")
@@ -398,29 +347,31 @@ def _column(c: Column, order: int, shared: dict[str, str] | None, keyed: bool) -
                 raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
         except _BadCell as bad:
             found.append((line, order, Finding(name, line, bad.args[0], "error", bad.args[1])))
-            return text, None
-        if remembered is not None:
-            # not ``==``: threads that insert between this check and the
-            # write can take a shared memo past the cap
-            if len(remembered) >= _KNOWN_CELLS:
-                remembered.clear()
-            remembered[raw] = (text, value)
-        return text, value
+            return None
+        return value
 
-    def take(cells: Sequence[str], lines: Sequence[int], found: list) -> tuple[list | None, list]:
-        if remembered is not None:
-            pairs = list(map(remembered.get, cells))
-            for k in _nones(pairs) if None in pairs else ():
-                # an earlier cell of the block may have taught it the memo
-                pairs[k] = remembered.get(cells[k]) or check(cells[k], lines[k], found)
-            return list(map(_TEXT, pairs)) if keyed else None, list(map(_VALUE, pairs))
-        texts = list(map(str.strip, cells))
-        if shared is not None:
-            texts = list(map(shared.setdefault, texts, texts))
-        values = vouch(texts)
-        for k in _nones(values) if None in values else ():
-            values[k] = check(cells[k], lines[k], found)[1]
-        return texts, values
+    def take(cells: Sequence[str], lines: Sequence[int], found: list) -> list:
+        if parse is str:  # the stripped texts
+            if required and "" in cells:
+                return [t or check(t, at, found) for t, at in zip(cells, lines)]
+            return cells
+        values: list = []
+        rest = iter(cells)
+        while len(values) < len(cells):
+            try:
+                # CPython's ``list +=`` keeps the values the map gave before
+                # the cell that raised; ``rest`` resumes after that cell
+                values += map(parse, rest)
+            except _BadCell:
+                k = len(values)
+                values.append(check(cells[k], lines[k], found))
+        if minimum is not None:
+            good = filter(_PRESENT, values) if None in values else values
+            if min(good, default=minimum) < minimum:
+                for k, value in enumerate(values):
+                    if value is not None and value < minimum:
+                        values[k] = check(cells[k], lines[k], found)
+        return values
 
     return take
 
@@ -436,9 +387,7 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, int, list[list] | None, lis
     row's come in column order, then ``duplicate``, ``ordering``, ``gap``
     and ``convention``; a row with a wrong field count gets only its
     ``field_count`` finding. Each column of a block is taken at once
-    (:func:`_column`). The file is always read to its end, so a failure
-    to read any part of it raises ``UnreadableFileError`` however the
-    consumer treats the findings before it.
+    (:func:`_column`), and the file is always read to its end.
     """
     blocks = _blocks(path)
     first = next(blocks, None)
@@ -456,11 +405,10 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, int, list[list] | None, lis
     # one object per distinct text of the text and key columns, which the
     # records and ``seen`` then share
     shared: dict[str, str] = {}
-    takes = []
-    for order, c in enumerate(spec.columns):
-        keyed = c.name in spec.unique
-        share = shared if c.parse is str or keyed else None
-        takes.append((index[c.name], _column(c, order, share, keyed)))
+    takes = [
+        (index[c.name], c.parse is str or c.name in spec.unique, _column(c, order))
+        for order, c in enumerate(spec.columns)
+    ]
     # the rules across rows rank after a row's cells: duplicate, ordering, gap, convention
     rules = len(spec.columns)
     # the line that first had each key, nested one dict per key column so
@@ -491,8 +439,12 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, int, list[list] | None, lis
         cells = list(zip(*good)) or [()] * width
         texts: list = [None] * width
         values: list = [None] * width
-        for i, take in takes:
-            texts[i], values[i] = take(cells[i], lines, found)
+        for i, share, take in takes:
+            column = cells[i]
+            if share:
+                column = list(map(str.strip, column))
+                column = texts[i] = list(map(shared.setdefault, column, column))
+            values[i] = take(column, lines, found)
         if key:
             keys, keyed = [texts[i] for i in key], lines
             if None in values[key[0]]:  # a row is keyed only when its first key cell is good

@@ -473,6 +473,28 @@ class TestMalformedDocuments:
             pytest.param(lambda d: d["params"].update(min_samples_split=1), id="min-split-one"),
             pytest.param(lambda d: d["importances"].__setitem__(0, math.nan), id="nan-importance"),
             pytest.param(lambda d: d["feature_names"].__setitem__(0, 1), id="integer-name"),
+            pytest.param(lambda d: first_leaf(d).update(count=-5), id="negative-count"),
+            pytest.param(lambda d: first_leaf(d).update(count=0), id="zero-count"),
+            pytest.param(lambda d: first_leaf(d).update(count=2.7), id="fractional-count"),
+            pytest.param(lambda d: first_leaf(d).update(count=True), id="boolean-count"),
+            pytest.param(lambda d: first_leaf(d).update(count="3"), id="text-count"),
+            pytest.param(lambda d: d["trees"][0].update(feature_index=0.9), id="float-feature"),
+            pytest.param(lambda d: d["trees"][0].update(feature_index=-0.5), id="minus-half"),
+            pytest.param(lambda d: d["trees"][0].update(feature_index="0"), id="text-feature"),
+            pytest.param(lambda d: d["trees"][0].update(threshold="1.5"), id="numeral-threshold"),
+            pytest.param(lambda d: d["trees"][0].update(threshold=True), id="boolean-threshold"),
+            pytest.param(lambda d: d["trees"][0].update(threshold=10**400), id="huge-threshold"),
+            pytest.param(lambda d: first_leaf(d).update(value="1.5"), id="text-leaf-value"),
+            pytest.param(lambda d: first_leaf(d).update(value=True), id="boolean-leaf-value"),
+            pytest.param(lambda d: d.update(importances=["1.0", "0.0"]), id="text-importances"),
+            pytest.param(lambda d: d["params"].update(n_trees="2"), id="text-n-trees"),
+            pytest.param(
+                lambda d: (d["trees"].pop(), d["params"].update(n_trees=True)), id="boolean-n-trees"
+            ),
+            pytest.param(lambda d: d["params"].update(k_features=1.5), id="fractional-k"),
+            pytest.param(lambda d: d["params"].update(seed=63.0), id="float-seed"),
+            pytest.param(lambda d: d.update(feature_names=["x", "x"]), id="repeated-names"),
+            pytest.param(lambda d: d.update(feature_names="xy"), id="names-as-text"),
         ],
     )
     def test_rejected_with_domain_error(self, corrupt):

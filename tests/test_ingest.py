@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -7,6 +8,7 @@ import json
 import random
 import sys
 import tracemalloc
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -242,8 +244,8 @@ def test_records_are_named_tuples_of_the_schema_columns(schema, record, values):
 
 
 def test_validate_memory_is_bounded_per_row(tmp_path):
-    # a scan holds one row at a time; what grows with the file is the outlier
-    # buffers (a line and a float per watched cell) and the findings
+    # a scan holds one block of rows at a time; what grows with the file is
+    # the outlier buffers (a line and a float per watched cell) and the findings
     rng = random.Random(0)
     n = 100_000
     rows = [
@@ -417,32 +419,33 @@ def records_or_error(read, path):
         return f"MalformedFileError: {exc}"
 
 
+def clear_parser_caches():
+    for parse in (ingest._month, ingest._date, ingest._integer):
+        parse.cache_clear()
+
+
 @settings(max_examples=400, deadline=None)
-@given(csv_files(), st.sampled_from([1, 2, ingest._KNOWN_CELLS]), st.booleans())
+@given(csv_files())
 # a row is keyed by its stripped texts even where the second key cell is bad
-@example(("employer", EMPLOYER_HEADER + "X,2021/01,1,s,a\nX, 2021/01 ,2,s,a\n"), 2, True)
+@example(("employer", EMPLOYER_HEADER + "X,2021/01,1,s,a\nX, 2021/01 ,2,s,a\n"))
 # an empty padded second key cell is keyed by its stripped text too
-@example(("employer", EMPLOYER_HEADER + "X, ,1,s,a\nX,  ,2,s,a\n"), 2, False)
-# a remembered padded key cell is still keyed by its stripped text
-@example(("employer", EMPLOYER_HEADER + "X, 2021-01 ,1,s,a\nX, 2021-01 ,2,s,a\n"), 4096, False)
+@example(("employer", EMPLOYER_HEADER + "X, ,1,s,a\nX,  ,2,s,a\n"))
+# a cached padded key cell is still keyed by its stripped text
+@example(("employer", EMPLOYER_HEADER + "X, 2021-01 ,1,s,a\nX, 2021-01 ,2,s,a\n"))
 # a count that parses but is out of range stays bad when it comes again
-@example(("claims", CLAIMS_HEADER + "2017-01-07,-3,1\n2017-01-14,-3,1\n"), 4096, True)
-def test_the_scan_gives_what_the_per_cell_scan_gave(tmp_path_factory, case, known_cells, every):
+@example(("claims", CLAIMS_HEADER + "2017-01-07,-3,1\n2017-01-14,-3,1\n"))
+# padding that str.strip removes but int() and float() do not
+@example(("storm", STORM_HEADER + "TX,Hail,\x1c2017-01-01,\x1c3,\x1f1.5\n"))
+def test_the_scan_gives_what_the_per_cell_scan_gave(tmp_path_factory, case):
     # every finding field in the same order, and the same records or error,
-    # also when the columns remember so few good cells that they start over,
-    # and whichever columns remember their cells
+    # from parsers whose caches start empty
     schema, text = case
     path = tmp_path_factory.mktemp("oracle") / f"{schema}.csv"
     path.write_text(text, encoding="utf-8")
     spec = SCHEMAS[schema]
-    if every:
-        columns = tuple(dataclasses.replace(c, repeats=True) for c in spec.columns)
-        patched = {schema: dataclasses.replace(spec, columns=columns)}
-    else:
-        patched = {}
-    with mock.patch.object(ingest, "_KNOWN_CELLS", known_cells), mock.patch.dict(SCHEMAS, patched):
-        assert validate(path, schema) == reference_validate(path, schema)
-        got = records_or_error(READERS[schema], path)
+    clear_parser_caches()
+    assert validate(path, schema) == reference_validate(path, schema)
+    got = records_or_error(READERS[schema], path)
     want = records_or_error(lambda p: reference_read(p, spec), path)
     if schema == "monthly-series" and not want.startswith("MalformedFileError"):
         rows = reference_read(path, spec)
@@ -530,54 +533,111 @@ def test_an_undecodable_last_line_wins_over_a_bad_row_blocks_before(tmp_path):
             read(path)
 
 
-def test_a_memo_past_its_cap_starts_over(tmp_path):
-    # a column's memo outlives its scan, so it can hold more cells than a
-    # lowered cap; it must start over then, not grow for good
-    month = SCHEMAS["monthly-series"].columns[1]
-    path = write(tmp_path, "s.csv", "month,value\n2020-01,1\n2020-02,2\n2020-03,3\n")
-    memo = {f"old{i}": (f"old{i}", MonthKey(2000, 1)) for i in range(5)}
-    with mock.patch.dict(ingest._REMEMBERED, {month: memo}), mock.patch.object(
-        ingest, "_KNOWN_CELLS", 2
-    ):
-        read_monthly_series_csv(path)
-    assert memo == {"2020-03": ("2020-03", MonthKey(2020, 3))}
+def test_a_parser_cache_keeps_at_most_known_cells_values(tmp_path):
+    months = [MonthKey(1700, 1).shift(i) for i in range(ingest._KNOWN_CELLS + 100)]
+    text = "month,value\n" + "".join(f"{m},{i}\n" for i, m in enumerate(months))
+    clear_parser_caches()
+    read_monthly_series_csv(write(tmp_path, "s.csv", text))
+    assert ingest._month.cache_info().currsize == ingest._KNOWN_CELLS
 
 
-def test_equal_columns_of_two_schemas_share_one_memo(tmp_path):
+def test_a_month_read_for_one_schema_is_a_cache_hit_for_another(tmp_path):
     employer, series = SCHEMAS["employer"].columns[0], SCHEMAS["monthly-series"].columns[1]
-    assert employer == series and employer.repeats
-    path = write(tmp_path, "s.csv", "month,value\n2020-01,1\n")
-    with mock.patch.object(ingest, "_REMEMBERED", {}):
-        read_monthly_series_csv(path)
-        assert ingest._REMEMBERED[employer] == {"2020-01": ("2020-01", MonthKey(2020, 1))}
+    assert employer.parse is series.parse is ingest._month
+    clear_parser_caches()
+    read_monthly_series_csv(write(tmp_path, "s.csv", "month,value\n2020-01,1\n"))
+    read_employer_csv(write(tmp_path, "e.csv", EMPLOYER_HEADER + "X,2020-01,1,s,a\n"))
+    assert ingest._month.cache_info()[:2] == (1, 1)  # hits, misses
 
 
-def test_threads_sharing_memos_get_the_serial_results_and_keep_them_bounded(tmp_path):
-    # memos are shared by every scan in the process; threads that insert
-    # between another's size check and its write may pass the cap, by at
-    # most one cell each, and the next insert starts the memo over
+def test_threads_sharing_the_parser_caches_get_the_serial_results(tmp_path):
+    # the caches are shared by every scan in the process; the files hold
+    # more distinct months than a cache keeps, so threads evict each
+    # other's values while they read
     paths = []
     for k in range(6):
-        months = [MonthKey(1990 + 10 * k, 1).shift(i) for i in range(60)]
+        months = [MonthKey(1000 + 100 * k, 1).shift(i) for i in range(800)]
         text = "month,value\n" + "".join(f"{m},{i}\n" for i, m in enumerate(months))
         paths.append(write(tmp_path, f"s{k}.csv", text))
 
     def scans(path):
-        return [(validate(path, "monthly-series"), read_monthly_series_csv(path)) for _ in range(5)]
+        return [(validate(path, "monthly-series"), read_monthly_series_csv(path)) for _ in range(3)]
 
-    threads, cap = 8, 8
+    want = [scans(p) for p in paths]
     switch = sys.getswitchinterval()
-    with mock.patch.object(ingest, "_KNOWN_CELLS", cap), mock.patch.object(ingest, "_REMEMBERED", {}):
-        want = [scans(p) for p in paths]
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(threads) as pool:
-                futures = [pool.submit(scans, p) for p in paths * 2]
-                got = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(switch)
-        assert got == want * 2
-        assert all(len(memo) <= cap + threads for memo in ingest._REMEMBERED.values())
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(scans, p) for p in paths * 2]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == want * 2
+    for parse in (ingest._month, ingest._date, ingest._integer):
+        assert parse.cache_info().currsize <= parse.cache_info().maxsize
+
+
+def counting(parse, calls: list):
+    """``parse``, counting its calls in ``calls[0]``."""
+
+    def counted(text):
+        calls[0] += 1
+        return parse(text)
+
+    return counted
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_a_bad_cell_costs_one_more_parse_not_a_block(tmp_path, schema):
+    # 2.5 blocks, with one bad cell per block in each parsed column: the
+    # first parsed column's are at the first row of blocks 0 and 2 and at
+    # the last row of block 1, and each further column's one row inwards
+    spec = SCHEMAS[schema]
+    n = ingest._BLOCK * 5 // 2
+    rows = [good_row(schema, i, i % 40) for i in range(n)]
+    first_line, last_line = 2, ingest._BLOCK  # block 0; the header is line 1
+    parsed = [(spec.header.index(c.name), c) for c in spec.columns if c.parse is not str]
+    bad = 0
+    for j, (i, c) in enumerate(parsed):
+        # where the column has a minimum, a cell its parser takes but the column does not
+        low = f"-{j + 1}" if c.minimum is not None else f"?{j}?"
+        for line, text in (
+            (first_line + j, f"?{j}"),
+            (last_line + ingest._BLOCK - j, low),
+            (last_line + 1 + j, f"{j}?"),
+        ):
+            rows[line - 2][i] = text
+            bad += 1
+    body = "".join(",".join(r) + "\n" for r in rows)
+    path = write(tmp_path, f"{schema}.csv", ",".join(spec.header) + "\n" + body)
+    calls = {c.name: [0] for _, c in parsed}
+    columns = tuple(
+        c if c.parse is str else dataclasses.replace(c, parse=counting(c.parse, calls[c.name]))
+        for c in spec.columns
+    )
+    with mock.patch.dict(SCHEMAS, {schema: dataclasses.replace(spec, columns=columns)}):
+        report = validate(path, schema)
+    assert report == reference_validate(path, schema)
+    errors = [f for f in report.findings if f.kind in ("non_parseable", "out_of_range")]
+    assert len(errors) == bad
+    for name, (count,) in calls.items():
+        assert count <= n + 3, name  # one call per cell, one more per bad cell
+
+
+def test_ingest_keeps_no_module_state_but_its_schemas_and_parser_caches():
+    # a value that outlives a scan lives in a parser's bounded cache, not in
+    # a container of the module's own
+    containers = (dict, list, set, array, bytearray, collections.deque)
+    held = [
+        name
+        for name, value in vars(ingest).items()
+        if not name.startswith("__") and isinstance(value, containers)
+    ]
+    assert held == ["SCHEMAS"]
+    cached = [name for name, value in vars(ingest).items() if hasattr(value, "cache_info")]
+    assert sorted(cached) == ["_date", "_integer", "_month"]
+    for name in cached:
+        assert getattr(ingest, name).cache_info().maxsize == ingest._KNOWN_CELLS
 
 
 def echo(text: str, schema: str, rotation: int) -> str:
@@ -595,17 +655,16 @@ def echo(text: str, schema: str, rotation: int) -> str:
     st.lists(csv_files(), max_size=3),
     csv_files(),
     st.one_of(st.none(), st.tuples(st.sampled_from(sorted(SCHEMAS)), st.integers(0, 4))),
-    st.sampled_from([1, 2, 3, ingest._KNOWN_CELLS]),
 )
-# the employer and monthly-series month columns are equal, so they share a memo
-@example([], ("monthly-series", "month,value\n2020-01,1\n 2020-02,2\n"), ("employer", 1), 4096)
-@example([], ("employer", EMPLOYER_HEADER + "X, 2021-01 ,1,s,a\n"), ("monthly-series", 1), 4096)
+# the employer and monthly-series month columns share one cached parser
+@example([], ("monthly-series", "month,value\n2020-01,1\n 2020-02,2\n"), ("employer", 1))
+@example([], ("employer", EMPLOYER_HEADER + "X, 2021-01 ,1,s,a\n"), ("monthly-series", 1))
 def test_a_files_report_and_records_do_not_depend_on_earlier_scans(
-    tmp_path_factory, earlier, case, echoed, known_cells
+    tmp_path_factory, earlier, case, echoed
 ):
-    # the repeating columns' memos live for the process; whatever files were
-    # scanned before, of any schema, a file gives what it gives to a process
-    # whose memos start empty
+    # the parsers' caches live for the process; whatever files were scanned
+    # before, of any schema, a file gives what it gives to a process whose
+    # caches start empty
     folder = tmp_path_factory.mktemp("history")
     schema, text = case
     path = folder / f"{schema}.csv"
@@ -616,16 +675,15 @@ def test_a_files_report_and_records_do_not_depend_on_earlier_scans(
 
     if echoed:
         earlier = [*earlier, (echoed[0], echo(text, *echoed))]
-    with mock.patch.object(ingest, "_KNOWN_CELLS", known_cells):
-        with mock.patch.object(ingest, "_REMEMBERED", {}):
-            want = outcome()
-        with mock.patch.object(ingest, "_REMEMBERED", {}):
-            for k, (before, before_text) in enumerate(earlier):
-                before_path = folder / f"before{k}.csv"
-                before_path.write_text(before_text, encoding="utf-8")
-                validate(before_path, before)
-                records_or_error(READERS[before], before_path)
-            assert outcome() == want
+    clear_parser_caches()
+    want = outcome()
+    clear_parser_caches()
+    for k, (before, before_text) in enumerate(earlier):
+        before_path = folder / f"before{k}.csv"
+        before_path.write_text(before_text, encoding="utf-8")
+        validate(before_path, before)
+        records_or_error(READERS[before], before_path)
+    assert outcome() == want
 
 
 # quotes, backslashes, control characters, BMP and astral characters and
