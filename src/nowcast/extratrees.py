@@ -7,9 +7,9 @@ over the node sample, and the candidate with the highest variance reduction
 wins (ties go to the earliest-drawn candidate). Predictions average the
 reached leaf values across trees.
 
-A fitted tree is a set of parallel node arrays (:class:`Tree`), built from
-pre-order lists by :func:`_tree` whether fitted or decoded; the JSON model
-document encodes each one as nested ``leaf``/``split`` objects.
+A fitted tree is four parallel pre-order node arrays (:class:`Tree`), the
+layout the lockstep builder writes and the decoder reads back; the JSON
+model document encodes each one as nested ``leaf``/``split`` objects.
 :class:`ExtraTreesModel` and :class:`ExtraTreesParams` check their own
 invariants; :func:`model_from_dict` only decodes, and maps their
 :class:`InvalidParamsError` to :class:`InvalidModelError`.
@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -69,6 +70,10 @@ class ExtraTreesParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_trees", "k_features", "min_samples_split", "seed"):
+            value = getattr(self, name)
+            if value is not None or name != "k_features":
+                object.__setattr__(self, name, _integer(value, name))
         if self.n_trees < 1:
             raise InvalidParamsError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.k_features is not None and self.k_features < 1:
@@ -81,53 +86,64 @@ class ExtraTreesParams:
             raise InvalidParamsError("seed must fit in an unsigned 64-bit integer")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a plain ``int``: anything ``operator.index`` takes but a ``bool``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """One fitted tree as parallel node arrays, numbered in build order.
+    """One fitted tree as four parallel node arrays in pre-order.
 
     Node 0 is the root and every node precedes its children (depth first,
-    left child first). A split node ``i`` sends rows with
-    ``x[feature[i]] < threshold[i]`` to ``left[i]`` and the rest to
-    ``right[i]``. A leaf has ``feature``, ``left`` and ``right`` equal to -1
-    and predicts ``value[i]``, the mean target of its ``count[i]`` training
-    rows. ``threshold`` is NaN at leaves and ``value`` is NaN at splits.
-    Each array is stored as a read-only copy over an immutable buffer.
+    left child first), so the left child of split ``i`` is ``i + 1``. A
+    split node ``i`` sends rows with ``x[feature[i]] < number[i]`` to
+    ``i + 1`` and the rest to ``right[i]``. A leaf has ``feature`` and
+    ``right`` equal to -1 and predicts ``number[i]``, the mean target of its
+    ``count[i]`` training rows. Each array is stored as a read-only copy
+    over an immutable buffer. ``threshold`` (NaN at leaves), ``value`` (NaN
+    at splits) and ``left`` (-1 at leaves) are read-only arrays derived on
+    access.
     """
 
     feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
+    number: np.ndarray
     right: np.ndarray
-    value: np.ndarray
     count: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("feature", "left", "right", "count"):
+        for name in ("feature", "right", "count"):
             object.__setattr__(self, name, _read_only(getattr(self, name), np.intp))
-        for name in ("threshold", "value"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "number", _read_only(self.number))
+
+    @property
+    def threshold(self) -> np.ndarray:
+        return _read_only(np.where(self.feature >= 0, self.number, math.nan))
+
+    @property
+    def value(self) -> np.ndarray:
+        return _read_only(np.where(self.feature >= 0, math.nan, self.number))
+
+    @property
+    def left(self) -> np.ndarray:
+        left = np.where(self.feature >= 0, np.arange(1, self.feature.size + 1), -1)
+        return _read_only(left, np.intp)
 
     def leaf_values(self, rows: list[list[float]]) -> list[float]:
         """Value of the leaf each row reaches."""
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
+        feature, number, right = self.feature.tolist(), self.number.tolist(), self.right.tolist()
         out = []
         for x in rows:
             node = 0
             while feature[node] >= 0:
-                node = left[node] if x[feature[node]] < threshold[node] else right[node]
-            out.append(value[node])
+                node = node + 1 if x[feature[node]] < number[node] else right[node]
+            out.append(number[node])
         return out
-
-
-def _tree(feature, number, right, count) -> Tree:
-    """A tree from pre-order node lists or arrays: the left child of split
-    ``i`` is ``i + 1``, and ``number`` is a split's threshold or a leaf's value."""
-    feature, number = np.asarray(feature), np.asarray(number, dtype=np.float64)
-    split = feature >= 0
-    threshold, value = np.where(split, number, math.nan), np.where(split, math.nan, number)
-    left = np.where(split, np.arange(1, feature.size + 1), -1)
-    return Tree(feature, threshold, left, right, value, count)
 
 
 def _fisher_yates(pool: list, offsets: list[int]) -> list:
@@ -235,12 +251,11 @@ class _Replay:
         # at least ``reserve`` words ready after a refill
         self.size = _WORDS + reserve
         self.words = np.zeros((len(bit_generators), self.size), dtype=np.uint64)
-        # per tree: the next unused word, whether a half is kept, the last
-        # high half drawn, and whether the bit generator was read
+        # per tree: the next unused word, whether a half is kept, and the
+        # last high half drawn
         self.pos = np.full(len(bit_generators), self.size)
         self.kept = np.zeros(len(bit_generators), dtype=np.intp)
         self.high = np.zeros(len(bit_generators), dtype=np.uint64)
-        self.read = np.zeros(len(bit_generators), dtype=bool)
 
     def _refill(self, trees: np.ndarray, need) -> None:
         """Make at least ``need`` unused words ready for each of ``trees``."""
@@ -248,7 +263,7 @@ class _Replay:
             keep = self.size - self.pos[t]
             self.words[t, :keep] = self.words[t, self.pos[t] :]
             self.words[t, keep:] = self.bit_generators[t].random_raw(self.pos[t])
-            self.read[t], self.pos[t] = True, 0
+            self.pos[t] = 0
 
     def _hand_back(self, t: int) -> None:
         """Leave tree ``t``'s bit generator where per-node calls would have left it."""
@@ -330,11 +345,6 @@ class _Replay:
             )
         return out
 
-    def hand_off(self) -> None:
-        """Leave each bit generator where per-node calls would have left it."""
-        for t in np.flatnonzero(self.read).tolist():
-            self._hand_back(t)
-
 
 def _grow(X, y, n_trees, k, min_split, draws) -> tuple[list[Tree], np.ndarray]:
     """Grow ``n_trees`` trees over C-contiguous float64 ``X`` and ``y``,
@@ -344,7 +354,7 @@ def _grow(X, y, n_trees, k, min_split, draws) -> tuple[list[Tree], np.ndarray]:
     """
     n_total, p = X.shape
     if n_total < min_split:  # every root is a leaf
-        leaf = _tree([-1], [np.add.reduce(y) / n_total], [-1], [n_total])
+        leaf = Tree([-1], [np.add.reduce(y) / n_total], [-1], [n_total])
         return [leaf] * n_trees, np.zeros((n_trees, p))
     forest = _Lockstep(X, y, n_trees, k, min_split, draws)
     while forest.step():
@@ -397,7 +407,7 @@ class _Lockstep:
     def trees(self) -> list[Tree]:
         arrays = self.feature, self.number, self.right, self.count
         return [
-            _tree(*(a[t, :size] for a in arrays)) for t, size in enumerate(self.nodes.tolist())
+            Tree(*(a[t, :size] for a in arrays)) for t, size in enumerate(self.nodes.tolist())
         ]
 
     def step(self) -> bool:
@@ -615,7 +625,6 @@ def fit(
 
     replay = _Replay([np.random.PCG64(params.seed ^ i) for i in range(params.n_trees)], k)
     trees, per_tree = _grow(X, y, params.n_trees, k, params.min_samples_split, replay)
-    replay.hand_off()
     # each tree's importances are summed on their own, then added in tree
     # order; normalized across the whole ensemble (all zero when no split exists)
     acc = np.zeros(X.shape[1], dtype=np.float64)
@@ -650,19 +659,18 @@ def feature_importances(model: ExtraTreesModel) -> dict[str, float]:
 def _tree_to_dict(tree: Tree) -> dict:
     """A tree's nested document. Children come after their parent in node
     order, so walking the nodes backwards encodes each child first."""
-    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-    left, right = tree.left.tolist(), tree.right.tolist()
-    value, count = tree.value.tolist(), tree.count.tolist()
+    feature, number = tree.feature.tolist(), tree.number.tolist()
+    right, count = tree.right.tolist(), tree.count.tolist()
     docs = [None] * len(feature)
     for i in reversed(range(len(feature))):
         if feature[i] < 0:
-            docs[i] = {"kind": "leaf", "value": value[i], "count": count[i]}
+            docs[i] = {"kind": "leaf", "value": number[i], "count": count[i]}
         else:
             docs[i] = {
                 "kind": "split",
                 "feature_index": feature[i],
-                "threshold": threshold[i],
-                "left": docs[left[i]],
+                "threshold": number[i],
+                "left": docs[i + 1],
                 "right": docs[right[i]],
             }
     return docs[0]
@@ -677,13 +685,6 @@ def model_to_dict(model: ExtraTreesModel) -> dict:
         "importances": [float(v) for v in model.importances],
         "trees": [_tree_to_dict(t) for t in model.trees],
     }
-
-
-def _whole(value, what: str) -> int:
-    """A JSON integer: an ``int``, not a ``bool``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidModelError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _finite(value, what: str) -> float:
@@ -707,12 +708,12 @@ def _tree_from_dict(doc: dict, n_features: int) -> Tree:
         kind = d["kind"]
         if kind == "leaf":
             number.append(_finite(d["value"], "leaf value"))
-            count.append(_whole(d["count"], "leaf count"))
+            count.append(_integer(d["count"], "leaf count"))
             if count[-1] < 1:
                 raise InvalidModelError(f"leaf count must be at least 1, got {count[-1]}")
             feature.append(-1)
         elif kind == "split":
-            index = _whole(d["feature_index"], "feature_index")
+            index = _integer(d["feature_index"], "feature_index")
             if not 0 <= index < n_features:
                 raise InvalidModelError(
                     f"feature_index {index} is outside the {n_features} feature names"
@@ -729,7 +730,7 @@ def _tree_from_dict(doc: dict, n_features: int) -> Tree:
     for i in reversed(range(len(feature))):
         if feature[i] >= 0:
             count[i] = count[i + 1] + count[right[i]]
-    return _tree(feature, number, right, count)
+    return Tree(feature, number, right, count)
 
 
 def model_from_dict(d: dict) -> ExtraTreesModel:
@@ -741,12 +742,7 @@ def model_from_dict(d: dict) -> ExtraTreesModel:
         raise InvalidModelError(f"unsupported model schema_version: {d.get('schema_version')}")
     try:
         p = d["params"]
-        params = ExtraTreesParams(
-            n_trees=_whole(p["n_trees"], "n_trees"),
-            k_features=None if p["k_features"] is None else _whole(p["k_features"], "k_features"),
-            min_samples_split=_whole(p["min_samples_split"], "min_samples_split"),
-            seed=_whole(p["seed"], "seed"),
-        )
+        params = ExtraTreesParams(**{f.name: p[f.name] for f in fields(ExtraTreesParams)})
         names = d["feature_names"]
         if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
             raise InvalidModelError("feature names must be a list of strings")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -68,6 +69,36 @@ class TestParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InvalidParamsError):
             ExtraTreesParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"min_samples_split": 2.5},
+            {"seed": True},
+            {"seed": 1.5},
+            {"n_trees": 2.5},
+            {"n_trees": True},
+            {"n_trees": "3"},
+            {"k_features": 1.5},
+            {"k_features": np.float64(2.0)},
+        ],
+    )
+    def test_non_integers_rejected(self, kwargs):
+        with pytest.raises(InvalidParamsError, match="must be an integer"):
+            ExtraTreesParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_trees": np.int64(3), "seed": np.int64(4)},
+            {"k_features": np.int32(1), "min_samples_split": np.uint8(3)},
+        ],
+    )
+    def test_integer_likes_stored_as_plain_ints(self, kwargs):
+        params = ExtraTreesParams(**kwargs)
+        assert all(type(getattr(params, name)) is int for name in kwargs)
+        model = fit(random_table(10, 2, seed=0), params)
+        assert model_to_dict(ExtraTreesModel.from_json(model.to_json())) == model_to_dict(model)
 
     def test_k_features_checked_against_table(self):
         table = random_table(10, 2, seed=0)
@@ -402,14 +433,41 @@ class TestReadOnlyModel:
 
     def test_callers_tree_arrays_stay_writeable_and_unshared(self):
         fitted = fit(random_table(25, 3, seed=64), ExtraTreesParams(n_trees=1, seed=64)).trees[0]
-        mine = {name: getattr(fitted, name).copy() for name in self.TREE_ARRAYS}
+        stored = [field.name for field in dataclasses.fields(extratrees.Tree)]
+        mine = {name: getattr(fitted, name).copy() for name in stored}
         tree = extratrees.Tree(**mine)
         for name, arr in mine.items():
             assert arr.flags.writeable
             assert not np.shares_memory(arr, getattr(tree, name))
             self.assert_read_only(getattr(tree, name))
-        mine["value"][:] = 7.0
-        assert tree.value.tobytes() == fitted.value.tobytes()
+        mine["number"][:] = 7.0
+        assert tree.number.tobytes() == fitted.number.tobytes()
+
+    @pytest.mark.parametrize("source", ["fit", "from_json"])
+    @pytest.mark.parametrize(
+        "rows,min_split", [(25, 2), (25, 5), (4, 5)], ids=["min-split-2", "default", "one-leaf"]
+    )
+    def test_four_stored_arrays_and_three_derived(self, source, rows, min_split):
+        # a tree stores feature, number, right and count; threshold, value
+        # and left are read from them
+        table = random_table(rows, 3, seed=66)
+        model = fit(table, ExtraTreesParams(n_trees=3, min_samples_split=min_split, seed=66))
+        if source == "from_json":
+            model = ExtraTreesModel.from_json(model.to_json())
+        names = [field.name for field in dataclasses.fields(extratrees.Tree)]
+        assert names == ["feature", "number", "right", "count"]
+        for tree in model.trees:
+            split = tree.feature >= 0
+            assert split.any() == (rows >= min_split)
+            nodes = np.arange(tree.feature.size)
+            assert np.isnan(tree.threshold).tolist() == (~split).tolist()
+            assert tree.threshold[split].tobytes() == tree.number[split].tobytes()
+            assert np.isnan(tree.value).tolist() == split.tolist()
+            assert tree.value[~split].tobytes() == tree.number[~split].tobytes()
+            assert tree.left.tolist() == np.where(split, nodes + 1, -1).tolist()
+            assert tree.left.dtype == np.intp
+            for derived in (tree.threshold, tree.value, tree.left):
+                self.assert_read_only(derived)
 
 
 class TestSerialization:
@@ -669,13 +727,14 @@ class TestGrowTreeMatchesFit:
     @pytest.mark.parametrize("k", [1, 2, None])
     def test_same_arrays_and_generator_state(self, table, min_split, k, monkeypatch):
         # fit's tree 0 draws from PCG64(seed ^ 0); grow_tree on the same
-        # table and a sampler on that generator must build it bit for bit
+        # table and a sampler on that generator must build it bit for bit,
+        # and fit's replay, handed back, leaves the generator's state
         made = []
 
         class Recorded(extratrees._Replay):
             def __init__(self, bit_generators, reserve):
                 super().__init__(bit_generators, reserve)
-                made.append(bit_generators)
+                made.append(self)
 
         monkeypatch.setattr(extratrees, "_Replay", Recorded)
         for seed in (0, 83, 2**64 - 1):
@@ -690,8 +749,9 @@ class TestGrowTreeMatchesFit:
             for name in ("feature", "threshold", "left", "right", "value", "count"):
                 ours, theirs = getattr(fitted, name), getattr(grown, name)
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
-            [[used]] = made
-            assert used.state == sampler.rng.bit_generator.state
+            [replay] = made
+            replay._hand_back(0)
+            assert replay.bit_generators[0].state == sampler.rng.bit_generator.state
 
 
 class TestDecoder:
@@ -787,7 +847,8 @@ class TestReplay:
                     assert row[: len(ranges)] == [
                         samplers[t].draw_threshold(a, b) for a, b in ranges
                     ]
-        replay.hand_off()
+        for t in range(n_streams):
+            replay._hand_back(t)
         for sampler, bit_generator in zip(samplers, replayed):
             assert bit_generator.state == sampler.rng.bit_generator.state
 
@@ -811,7 +872,8 @@ class TestReplaySlowPath:
         assert offsets.tolist() == [[0], [0]] and slow_path == []
         offsets = replay.offsets(trees[1:], np.array([1]), np.array([1]))
         assert offsets.tolist() == [[0]] and slow_path == []
-        replay.hand_off()
+        for t in range(2):
+            replay._hand_back(t)
         for seed, bit_generator in zip((5, 6), replayed):
             rng = np.random.Generator(np.random.PCG64(seed))
             assert rng.integers(0, np.arange(1, 0, -1)).tolist() == [0]
