@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteError,
     TooShortError,
 )
-from .extratrees import ExtraTreesParams, fit, predict
+from .extratrees import ExtraTreesParams, _integer, fit, predict
 from .timeseries import FeatureTable, MonthKey
 from .transforms import Approach, apply_pipeline, reconstruct_level, required_history
 
@@ -89,6 +89,8 @@ class BacktestConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "approach", Approach(self.approach))
+        months = _integer(self.min_train_months, "min_train_months")
+        object.__setattr__(self, "min_train_months", months)
         floor = MIN_TRAIN_FLOOR[self.approach]
         if self.min_train_months < floor:
             raise InvalidParamsError(

@@ -86,14 +86,14 @@ class ExtraTreesParams:
             raise InvalidParamsError("seed must fit in an unsigned 64-bit integer")
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, error: type[Exception] = InvalidParamsError) -> int:
     """``value`` as a plain ``int``: anything ``operator.index`` takes but a ``bool``."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise InvalidParamsError(f"{what} must be an integer, got {value!r}")
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

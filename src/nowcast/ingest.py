@@ -19,18 +19,25 @@ named tuples (``typing.NamedTuple``), so each also equals the plain tuple
 of its values, and a schema's header is its record type's fields.
 
 A scan holds one block of ``_BLOCK`` rows at a time. Each column of a
-block maps its parser over its cells once, and only the cells the parser
-or the column rejects are checked one at a time, so a good row builds no
-:class:`Finding` and a bad row gets one per bad cell, in column order. The
-month, date and count parsers keep the last ``_KNOWN_CELLS`` values they
-returned for the process, so the months of every file of a run are parsed
-once. Across blocks a scan keeps only the unique keys seen so far, the
-last ordered value and, for ``validate``, one buffer of lines and values
-per outlier column. A scan reads the file to its end, so a file that fails
-to decode or to split into CSV fields anywhere raises
-:class:`UnreadableFileError`, even when an earlier row is bad.
+block maps its parser over its cells once. A cell the parser rejects keeps
+the parser's finding unless it needs stripping or is an empty required
+cell; only those cells and the cells the column rejects are checked one at
+a time, so a good row builds no :class:`Finding` and a bad row gets one
+per bad cell, in column order. The month, date and count parsers keep the
+last ``_KNOWN_CELLS`` values they returned for the process, so the months
+of every file of a run are parsed once. Across blocks a scan keeps only the
+unique keys seen so far, the last ordered value and, for ``validate``, one
+buffer of lines and values per outlier column. A scan reads the file to its
+end, so a file that fails to decode or to split into CSV fields anywhere
+raises :class:`UnreadableFileError`, even when an earlier row is bad.
 :meth:`ValidationReport.write_json` writes a report's JSON one finding at
 a time, in the layout of ``json.dumps(report.to_dict(), indent=2)``.
+
+The ``read_*`` functions pause Python's cyclic garbage collector while they
+build records and leave it enabled or disabled as they found it. The
+collector never untracks a named tuple, so each of its full passes would
+walk every record read so far, and records hold no reference cycles for
+it to free.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime as dt
+import gc
 import io
 import json
 import logging
@@ -328,13 +336,19 @@ def _column(c: Column, order: int) -> Callable:
 
     Text and key columns are given the block's stripped texts, which are a
     text column's values. Any other column maps its parser over the cells
-    once; a cell the parser rejects goes through the per-cell check, which
-    words its finding, and the map resumes after it. Cells that pass the
+    once, and the map resumes after a cell the parser rejects. That cell's
+    finding is the parser's own when the cell needs no stripping and is not
+    an empty required cell; any other goes through the per-cell check,
+    which words its finding from the stripped text. Cells that pass the
     parser but not the column (an empty required text, a value below the
     minimum) are looked for one by one only when a test over the block
     finds one.
     """
     parse, required, minimum, name = c.parse, c.required, c.minimum, c.name
+
+    def report(bad: _BadCell, line: int, found: list) -> None:
+        kind, message = bad.args
+        found.append((line, order, Finding(name, line, kind, "error", message)))
 
     def check(raw: str, line: int, found: list) -> Any:
         """One cell's value, or ``None`` with its finding appended to ``found``."""
@@ -346,7 +360,7 @@ def _column(c: Column, order: int) -> Callable:
             if minimum is not None and value < minimum:
                 raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
         except _BadCell as bad:
-            found.append((line, order, Finding(name, line, bad.args[0], "error", bad.args[1])))
+            report(bad, line, found)
             return None
         return value
 
@@ -362,9 +376,15 @@ def _column(c: Column, order: int) -> Callable:
                 # CPython's ``list +=`` keeps the values the map gave before
                 # the cell that raised; ``rest`` resumes after that cell
                 values += map(parse, rest)
-            except _BadCell:
+            except _BadCell as bad:
                 k = len(values)
-                values.append(check(cells[k], lines[k], found))
+                cell = cells[k]
+                if cell == cell.strip() and (cell or not required):
+                    # the check would parse this same text again and reject it alike
+                    report(bad, lines[k], found)
+                    values.append(None)
+                else:
+                    values.append(check(cell, lines[k], found))
         if minimum is not None:
             good = filter(_PRESENT, values) if None in values else values
             if min(good, default=minimum) < minimum:
@@ -505,7 +525,7 @@ def _outliers(columns: list[tuple[str, array, array]]) -> list[Finding]:
     Each column comes as its name, the lines of its good values and those
     values, in file order.
     """
-    found = []
+    found: list[Finding] = []
     for column, lines, numbers in columns:
         values = np.frombuffer(numbers, dtype=np.float64)
         median = float(np.median(values))
@@ -513,9 +533,16 @@ def _outliers(columns: list[tuple[str, array, array]]) -> list[Finding]:
         mad = float(np.median(deviations))
         # with zero MAD any deviation is infinitely many MADs out
         z = deviations / mad if mad > 0 else np.where(deviations > 0, np.inf, 0.0)
-        for k in np.flatnonzero(z > OUTLIER_MAD_THRESHOLD).tolist():
-            message = f"value {numbers[k]} is {z[k]:.1f} MADs from the median {median}"
-            found.append(Finding(column, lines[k], "outlier", "warning", message))
+        far = z > OUTLIER_MAD_THRESHOLD
+        tail = f" MADs from the median {median}"
+        found += [
+            Finding(column, line, "outlier", "warning", f"value {value} is {score:.1f}{tail}")
+            for line, value, score in zip(
+                np.frombuffer(lines, dtype=np.int64)[far].tolist(),
+                values[far].tolist(),
+                z[far].tolist(),
+            )
+        ]
     return found
 
 
@@ -563,12 +590,19 @@ def _read(path, spec: Schema) -> list:
     """
     records: list = []
     error = None
-    for _, _, columns, found in _scan(path, spec):
-        if error is None:
-            error = next((f for f in found if f.severity == "error"), None)
+    # paused: its passes would walk every record so far and find no cycles
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _, _, columns, found in _scan(path, spec):
             if error is None:
-                # a good row has one value per field, in the record's order
-                records += map(tuple.__new__, repeat(spec.record), zip(*columns))
+                error = next((f for f in found if f.severity == "error"), None)
+                if error is None:
+                    # a good row has one value per field, in the record's order
+                    records += map(tuple.__new__, repeat(spec.record), zip(*columns))
+    finally:
+        if collecting:
+            gc.enable()
     if error is not None:
         raise MalformedFileError(f"{path}:{error.row}: {error.column}: {error.message}")
     return records
@@ -734,15 +768,14 @@ def aggregate_storms_monthly(
     """
     if not events:
         raise EmptyInputError("no storm events to aggregate")
-    months = [MonthKey(e.begin_date.year, e.begin_date.month) for e in events]
-    first, last = min(months), max(months)
-    n = last - first + 1
-    counts = np.zeros(n)
-    damage = np.zeros(n)
-    for e, month in zip(events, months):
-        i = month - first
-        counts[i] += 1
-        damage[i] += e.damage_usd
+    dates = [e.begin_date for e in events]
+    index = np.fromiter((d.year * 12 + d.month - 1 for d in dates), np.int64, len(dates))
+    start = int(index.min())
+    index -= start
+    first = MonthKey(start // 12, start % 12 + 1)
+    counts = np.bincount(index).astype(np.float64)
+    # bincount adds each month's weights in event order, as a loop would
+    damage = np.bincount(index, weights=[e.damage_usd for e in events])
     return (
         MonthlySeries(first, counts, name="storm_events", units="events"),
         MonthlySeries(first, damage, name="storm_damage", units="USD"),

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
+from .extratrees import _integer
 from .timeseries import MonthKey, MonthlySeries
 
 # all generated series start here; the config controls only the length
@@ -51,6 +52,9 @@ class SynthConfig:
     shock_size: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("months", "n_features", "seed"):
+            value = _integer(getattr(self, name), name, InvalidConfigError)
+            object.__setattr__(self, name, value)
         if self.months < 36:
             raise InvalidConfigError(f"months must be >= 36, got {self.months}")
         if self.noise_sd < 0 or self.feature_noise_sd < 0:

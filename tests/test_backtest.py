@@ -106,6 +106,16 @@ class TestConfig:
         with pytest.raises(InvalidParamsError):
             BacktestConfig(floor - 1, Approach(approach), ExtraTreesParams())
 
+    @pytest.mark.parametrize("months", [24.5, 30.0, True, "30", None])
+    def test_non_integer_min_train_months_rejected(self, months):
+        with pytest.raises(InvalidParamsError, match="min_train_months must be an integer"):
+            BacktestConfig(months, Approach.MONTH_ONEHOT, ExtraTreesParams())
+
+    def test_integer_like_min_train_months_stored_as_plain_int(self):
+        config = BacktestConfig(np.int64(30), Approach.MONTH_ONEHOT, ExtraTreesParams())
+        assert type(config.min_train_months) is int
+        assert config.to_dict() == BacktestConfig(30, "B", ExtraTreesParams()).to_dict()
+
 
 def linear_table(n_months, seed=0, noise=0.05):
     """Target is a clean linear response to one feature's level changes."""

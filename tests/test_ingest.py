@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import datetime as dt
+import gc
 import io
 import json
 import random
@@ -151,6 +152,31 @@ class TestValidate:
         assert doc["column_summary"]["initial_claims"]["missing_value"] == 1
 
 
+def outliers_of(*columns):
+    return [
+        tuple(f)
+        for f in ingest._outliers(
+            [(name, array("q", lines), array("d", values)) for name, lines, values in columns]
+        )
+    ]
+
+
+def test_outlier_messages_keep_their_wording():
+    # alternating 100/101 plus a spike: median 101, MAD 1, the spike 50 MADs out
+    spiky = [100.0 if i % 2 == 0 else 101.0 for i in range(12)] + [151.00000000000003]
+    # a zero MAD puts any deviation infinitely many MADs out; the median's
+    # repr needs 17 digits
+    flat = [0.1 + 0.2] * 6 + [1.0, 0.30000000000000004, 1e-300]
+    found = outliers_of(("spiky", range(2, 15), spiky), ("flat", range(20, 29), flat))
+    assert [f[:2] for f in found] == [("spiky", 14), ("flat", 26), ("flat", 28)]
+    assert all(f[2:4] == ("outlier", "warning") and type(f[1]) is int for f in found)
+    assert [f[4] for f in found] == [
+        "value 151.00000000000003 is 50.0 MADs from the median 101.0",
+        "value 1.0 is inf MADs from the median 0.30000000000000004",
+        "value 1e-300 is inf MADs from the median 0.30000000000000004",
+    ]
+
+
 class TestReaders:
     def test_employer_reader(self):
         records = read_employer_csv(DATA_DIR / "employer_panel.csv")
@@ -213,6 +239,76 @@ class TestReaders:
         )
         with pytest.raises(ValueError):
             read_claims_csv(path)
+
+
+# a claims file that reads, one with a bad cell and one that cannot be
+# decoded, with what reading each raises
+READ_OUTCOMES = {
+    "records": (CLEAN_CLAIMS.encode(), None),
+    "malformed": (CLEAN_CLAIMS.encode() + b"2017-02-04,x,1\n", MalformedFileError),
+    "unreadable": (CLEAN_CLAIMS.encode() + b"2017-02-04,\xff,1\n", UnreadableFileError),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(READ_OUTCOMES))
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_read_leaves_the_collector_as_it_found_it(tmp_path, outcome, enabled):
+    data, error = READ_OUTCOMES[outcome]
+    path = tmp_path / "claims.csv"
+    path.write_bytes(data)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            read_claims_csv(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_read_builds_its_records_with_the_collector_paused(tmp_path):
+    # validate keeps no records, so it leaves the collector running
+    path = write(tmp_path, "claims.csv", CLEAN_CLAIMS)
+    spec = SCHEMAS["claims"]
+    states = []
+
+    def parse(text):
+        states.append(gc.isenabled())
+        return ingest._integer(text)
+
+    columns = tuple(
+        dataclasses.replace(c, parse=parse) if c.parse is ingest._integer else c
+        for c in spec.columns
+    )
+    assert gc.isenabled()
+    with mock.patch.dict(SCHEMAS, {"claims": dataclasses.replace(spec, columns=columns)}):
+        read_claims_csv(path)
+        paused = len(states)
+        validate(path, "claims")
+    assert paused == 8 and states == [False] * 8 + [True] * 8
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_a_read_leaves_no_cycles_behind(tmp_path, schema):
+    # the collector is paused while a read runs, so garbage in cycles would
+    # outlive it; a read of good rows and one of a file with bad cells in
+    # every parsed column leave nothing for the collector to free
+    spec = SCHEMAS[schema]
+    rows = [good_row(schema, i, i % 40) for i in range(3 * ingest._BLOCK)]
+    good = ",".join(spec.header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    for k, c in enumerate(spec.columns):
+        rows[5 * k + 70][spec.header.index(c.name)] = "" if c.parse is str else " ?x "
+    bad = ",".join(spec.header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    for name, text in (("good.csv", good), ("bad.csv", bad)):
+        path = write(tmp_path, name, text)
+        gc.collect()
+        try:
+            READERS[schema](path)
+        except MalformedFileError:
+            assert name == "bad.csv"
+        else:
+            assert name == "good.csv"
+        assert gc.collect() == 0, name
 
 
 READERS = {
@@ -624,6 +720,38 @@ def test_a_bad_cell_costs_one_more_parse_not_a_block(tmp_path, schema):
         assert count <= n + 3, name  # one call per cell, one more per bad cell
 
 
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_a_rejected_cell_without_padding_is_parsed_once(tmp_path, schema):
+    # in each parsed column, a bad cell that needs no stripping keeps the
+    # parser's own finding; a padded bad cell is parsed again, stripped, to
+    # word its finding, unless it is a key cell, which the scan strips first;
+    # an empty cell gets missing_value without a second parse
+    spec = SCHEMAS[schema]
+    n = 40
+    rows = [good_row(schema, i, i % 40) for i in range(n)]
+    parsed = [(spec.header.index(c.name), c) for c in spec.columns if c.parse is not str]
+    for j, (i, _) in enumerate(parsed):
+        rows[3 * j][i], rows[3 * j + 1][i], rows[3 * j + 2][i] = f"?{j}", f" ?{j} ", ""
+    body = "".join(",".join(r) + "\n" for r in rows)
+    path = write(tmp_path, f"{schema}.csv", ",".join(spec.header) + "\n" + body)
+    calls = {c.name: [0] for _, c in parsed}
+    columns = tuple(
+        c if c.parse is str else dataclasses.replace(c, parse=counting(c.parse, calls[c.name]))
+        for c in spec.columns
+    )
+    with mock.patch.dict(SCHEMAS, {schema: dataclasses.replace(spec, columns=columns)}):
+        report = validate(path, schema)
+        error = records_or_error(READERS[schema], path)
+    assert report == reference_validate(path, schema)
+    assert error == records_or_error(lambda p: reference_read(p, spec), path)
+    kinds = collections.Counter(f.kind for f in report.findings if f.severity == "error")
+    assert kinds["non_parseable"] == 2 * len(parsed) and kinds["missing_value"] == len(parsed)
+    for _, c in parsed:
+        padded_again = c.name not in spec.unique
+        # the validate and the read each parse every cell once, plus the padded one
+        assert calls[c.name][0] == 2 * (n + padded_again), c.name
+
+
 def test_ingest_keeps_no_module_state_but_its_schemas_and_parser_caches():
     # a value that outlives a scan lives in a parser's bounded cache, not in
     # a container of the module's own
@@ -896,3 +1024,57 @@ class TestStormAggregation:
         a, b = aggregate_storms_monthly(events)
         c, d = aggregate_storms_monthly(shuffled)
         assert a == c and b == d
+
+
+def storms_by_event(events):
+    """The start month, counts and damage, added one event at a time."""
+    months = [MonthKey(e.begin_date.year, e.begin_date.month) for e in events]
+    first = min(months)
+    counts = np.zeros(max(months) - first + 1)
+    damage = np.zeros_like(counts)
+    for e, month in zip(events, months):
+        counts[month - first] += 1
+        damage[month - first] += e.damage_usd
+    return first, counts, damage
+
+
+def storm(year, month, damage, day=1):
+    return StormEvent("TX", "hail", dt.date(year, month, day), 0, damage)
+
+
+# 1e16 + 1 + 1 and 1 + 1 + 1e16 differ in the last bit
+ORDER_DEPENDENT = [storm(2017, 3, 1e16), storm(2017, 3, 1.0), storm(2017, 3, 1.0, day=9)]
+
+
+@st.composite
+def storm_events(draw):
+    """Events over a few months in any order; damages of either sign whose
+    sums stay finite, as a series' values must."""
+    year = draw(st.integers(1, 9000))
+    months = st.integers(0, draw(st.integers(0, 30)))
+    damages = st.one_of(
+        st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 0.1, 1.0, 1e16, 5e-324])
+    )
+    offsets = draw(st.lists(st.tuples(months, st.integers(1, 28), damages), min_size=1, max_size=60))
+    return [storm(year + m // 12, m % 12 + 1, d, day) for m, day, d in offsets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(storm_events())
+@example(ORDER_DEPENDENT)
+@example(ORDER_DEPENDENT[::-1])
+@example([storm(2017, 12, 2.5), storm(2017, 12, 0.5, day=3)])  # a single month
+@example([storm(2018, 5, 1.0), storm(2017, 1, 3.0), storm(2017, 9, 0.1)])  # unsorted, empty months
+def test_storm_months_equal_the_per_event_sums_bit_for_bit(events):
+    first, counts, damage = storms_by_event(events)
+    got_counts, got_damage = aggregate_storms_monthly(events)
+    assert got_counts.start == got_damage.start == first
+    assert got_counts.values.dtype == got_damage.values.dtype == np.float64
+    assert got_counts.values.tobytes() == counts.tobytes()
+    assert got_damage.values.tobytes() == damage.tobytes()
+
+
+def test_the_order_dependent_storm_sums_do_depend_on_order():
+    forward = aggregate_storms_monthly(ORDER_DEPENDENT)[1].values
+    backward = aggregate_storms_monthly(ORDER_DEPENDENT[::-1])[1].values
+    assert forward.tolist() == [1e16] and backward.tolist() == [1e16 + 2]

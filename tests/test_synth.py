@@ -32,6 +32,18 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             SynthConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["months", "n_features", "seed"])
+    @pytest.mark.parametrize("value", [40.5, 48.0, True, False, "48", None])
+    def test_non_integers_rejected(self, name, value):
+        kwargs = {"months": 48, "seed": 1, name: value}
+        with pytest.raises(InvalidConfigError, match=f"{name} must be an integer, got"):
+            SynthConfig(**kwargs)
+
+    def test_integer_likes_stored_as_plain_ints(self):
+        config = SynthConfig(months=np.int64(40), seed=np.uint64(3), n_features=np.int32(2))
+        assert [type(v) for v in (config.months, config.seed, config.n_features)] == [int] * 3
+        assert generate(config).truth == generate(SynthConfig(40, 3, n_features=2)).truth
+
     def test_sinusoidal_amplitudes_span_requested_peak(self):
         amps = sinusoidal_amplitudes(300.0)
         assert len(amps) == 12
