@@ -27,8 +27,10 @@ path: a node whose draws meet a Lemire rejection or a threshold on an
 endpoint is drawn by the tree's own ``Generator``, handed its stream at the
 replay's position. Four sums whose bits depend on how they are called stay
 one call per node: the target sum (``np.add.reduce``), the sum of squares
-(``y @ y``) and the two mask products (``y @ masks`` and
-``(y * y) @ masks``), see :meth:`_Lockstep._expand`.
+(``y.dot(y)``) and the two mask products (``y.dot(masks)`` and
+``(y * y).dot(masks)``), see :meth:`_Lockstep._expand`. When the sample is
+shorter than ``min_samples_split`` every root is a leaf: no stream is built
+and no training matrix is gathered (:func:`_grow`).
 """
 
 from __future__ import annotations
@@ -203,9 +205,14 @@ def grow_tree(
     candidate feature for its threshold, in that order. Tests rely on this
     visit order to replay recorded draws.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    [tree], _ = _grow(X, y, 1, k_features, min_samples_split, _SamplerDraws(sampler))
+
+    def forest():
+        Xy = np.hstack((X, y[:, None]))
+        return _Lockstep(Xy, 1, k_features, min_samples_split, _SamplerDraws(sampler))
+
+    [tree], _ = _grow(y, X.shape[1], 1, min_samples_split, forest)
     return tree
 
 
@@ -346,20 +353,26 @@ class _Replay:
         return out
 
 
-def _grow(X, y, n_trees, k, min_split, draws) -> tuple[list[Tree], np.ndarray]:
-    """Grow ``n_trees`` trees over C-contiguous float64 ``X`` and ``y``,
-    with split draws from ``draws``. Returns the trees and, per tree, each
-    feature's summed variance reductions, each split's weighted by the
-    fraction of rows passing through its node.
+def _grow(y, p, n_trees, min_split, forest) -> tuple[list[Tree], np.ndarray]:
+    """Grow ``n_trees`` trees on the targets ``y`` and ``p`` features.
+    Returns the trees and, per tree, each feature's summed variance
+    reductions, each split's weighted by the fraction of rows passing
+    through its node.
+
+    Every root is a leaf when ``y`` has fewer than ``min_split`` rows: each
+    tree is then one leaf of value ``np.add.reduce(y) / n``. Otherwise
+    ``forest()`` gives the :class:`_Lockstep` that grows them, so the
+    training matrix is gathered and the split draws are set up only when
+    some root can split.
     """
-    n_total, p = X.shape
-    if n_total < min_split:  # every root is a leaf
+    n_total = y.size
+    if n_total < min_split:
         leaf = Tree([-1], [np.add.reduce(y) / n_total], [-1], [n_total])
         return [leaf] * n_trees, np.zeros((n_trees, p))
-    forest = _Lockstep(X, y, n_trees, k, min_split, draws)
-    while forest.step():
+    lockstep = forest()
+    while lockstep.step():
         pass
-    return forest.trees(), forest.importance
+    return lockstep.trees(), lockstep.importance
 
 
 def _widen(a: np.ndarray, fill) -> np.ndarray:
@@ -384,11 +397,11 @@ class _Lockstep:
     boolean-mask subset of the training rows, and so round to the same bits.
     """
 
-    def __init__(self, X, y, n_trees, k, min_split, draws):
-        n_total, p = X.shape
-        self.k, self.min_split, self.draws = k, min_split, draws
-        # the one training matrix: the features, then the target
-        self.Xy = np.hstack((X, y[:, None]))
+    def __init__(self, Xy, n_trees, k, min_split, draws):
+        # ``Xy`` is the one C-contiguous float64 training matrix: the
+        # features, then the target
+        n_total, p = Xy.shape[0], Xy.shape[1] - 1
+        self.k, self.min_split, self.draws, self.Xy = k, min_split, draws, Xy
         # node arrays, widened as the trees grow: ``number`` is a split's
         # threshold or a leaf's value, and left children are implied
         self.feature = np.full((n_trees, 32), -1, dtype=np.int32)
@@ -491,9 +504,9 @@ class _Lockstep:
         ysq_sum, left_sum, left_sq = [], [], []
         for a, c, b, w in zip(first.tolist(), n.tolist(), block.tolist(), kk.tolist()):
             yv, mv = yn[a : a + c], masks[b : b + c * w].reshape(c, w)
-            ysq_sum.append(yv @ yv)
-            left_sum.append(yv @ mv)
-            left_sq.append(ysq[a : a + c] @ mv)
+            ysq_sum.append(yv.dot(yv))
+            left_sum.append(yv.dot(mv))
+            left_sq.append(ysq[a : a + c].dot(mv))
         ysq_sum = np.array(ysq_sum)
         # Python's ** (C pow) here, as numpy's square can round differently
         parent_var = np.array(
@@ -578,7 +591,12 @@ def fit(
     accepted for compatibility and ignored. Raises :class:`NonFiniteError`
     when the targets are too large for a node's sums of squares to stay
     finite, or when a feature's range (its maximum minus its minimum) is
-    not a finite float.
+    not a finite float. The features' ranges are bounded by the table's
+    :meth:`~FeatureTable.value_range`, read in place; only when that bound
+    is not finite are the features gathered to name the wide ones. The
+    training matrix (the features, then the target) is gathered by one
+    ``table.matrix`` call, and the trees' PCG64 streams are built, only
+    when some root can split (at least ``min_samples_split`` rows).
     """
     if table.target is None:
         raise InvalidParamsError("fit requires the table's target to be set")
@@ -588,13 +606,12 @@ def fit(
     if len(table) < 2:
         raise TooShortError(f"fit requires at least 2 rows, got {len(table)}")
 
-    X = table.matrix(names)
     y = table.target_values()
 
-    k = params.k_features if params.k_features is not None else X.shape[1]
-    if k > X.shape[1]:
+    k = params.k_features if params.k_features is not None else len(names)
+    if k > len(names):
         raise InvalidParamsError(
-            f"k_features={k} exceeds the {X.shape[1]} available features"
+            f"k_features={k} exceeds the {len(names)} available features"
         )
 
     # every node's sums, squares and scores stay finite while 4 * s**2 does;
@@ -610,24 +627,29 @@ def fit(
             raise NonFiniteError(
                 "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
             )
-    # a threshold is drawn strictly inside a node's range, so every column's
-    # range must be finite; the table's range bounds them all and is about
-    # four times cheaper to take than the columns' (row-major ``X``), so the
-    # columns are checked only when it is not finite
-    with np.errstate(over="ignore"):
-        if not math.isfinite(X.max() - X.min()):
+    # a threshold is drawn strictly inside a node's range, so every feature's
+    # range must be finite. The table's range bounds them all and is read in
+    # place; a target wide enough to make it overflow has failed the check
+    # above, so the features are gathered only when it is not finite
+    if not math.isfinite(table.value_range()):
+        X = table.matrix(names)
+        with np.errstate(over="ignore"):
             spans = (X.max(axis=0) - X.min(axis=0)).tolist()
-            wide = [name for name, span in zip(names, spans) if not math.isfinite(span)]
-            if wide:
-                raise NonFiniteError(
-                    f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
-                )
+        wide = [name for name, span in zip(names, spans) if not math.isfinite(span)]
+        if wide:
+            raise NonFiniteError(
+                f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
+            )
 
-    replay = _Replay([np.random.PCG64(params.seed ^ i) for i in range(params.n_trees)], k)
-    trees, per_tree = _grow(X, y, params.n_trees, k, params.min_samples_split, replay)
+    def forest():
+        Xy = table.matrix(names + (table.target,))
+        replay = _Replay([np.random.PCG64(params.seed ^ i) for i in range(params.n_trees)], k)
+        return _Lockstep(Xy, params.n_trees, k, params.min_samples_split, replay)
+
+    trees, per_tree = _grow(y, len(names), params.n_trees, params.min_samples_split, forest)
     # each tree's importances are summed on their own, then added in tree
     # order; normalized across the whole ensemble (all zero when no split exists)
-    acc = np.zeros(X.shape[1], dtype=np.float64)
+    acc = np.zeros(len(names), dtype=np.float64)
     for tree_acc in per_tree:
         acc += tree_acc
     total = acc.sum()
@@ -641,10 +663,11 @@ def predict(model: ExtraTreesModel, rows: FeatureTable) -> np.ndarray:
     Leaf values are added tree by tree, starting from 0.0, so every row's
     sum rounds the same way however many rows are predicted together.
     """
-    missing = [n for n in model.feature_names if n not in rows.columns]
-    if missing:
-        raise MissingFeatureError(f"rows lack fitted feature columns: {missing}")
-    X = rows.matrix(model.feature_names).tolist()
+    try:
+        X = rows.matrix(model.feature_names).tolist()
+    except KeyError:  # a fitted feature is not a column of ``rows``
+        missing = [n for n in model.feature_names if n not in rows.columns]
+        raise MissingFeatureError(f"rows lack fitted feature columns: {missing}") from None
     out = np.zeros(len(X), dtype=np.float64)
     for tree in model.trees:
         out += tree.leaf_values(X)

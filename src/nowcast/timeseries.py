@@ -6,14 +6,14 @@ index are construction-time errors, never silently interpolated.
 A slice, window or ``with_target`` of a valid object is not validated again:
 its arrays are read-only views that share memory with the parent's. A
 table keeps its columns in one months x columns block, so a slice is one
-row range of it and ``matrix`` is one gather from it.
+row range of it, whatever the number of columns, and ``matrix`` is one
+gather from it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,6 +139,40 @@ class MonthlySeries:
         )
 
 
+class _Columns(Mapping):
+    """A table's columns by name, over its read-only months x columns block.
+
+    Membership, ``len`` and iteration read the names alone. The view of a
+    column is made from the block when that column is first asked for and
+    kept, so asking again gives the same array; a slice of the table is a
+    new mapping over a row range of the block, sharing the names.
+    """
+
+    __slots__ = ("block", "index", "_views")
+
+    def __init__(self, block: np.ndarray, index: Mapping[str, int]):
+        self.block, self.index, self._views = block, index, {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        view = self._views.get(name)
+        if view is None:
+            # setdefault keeps the first view made, should two threads race
+            view = self._views.setdefault(name, self.block[:, self.index[name]])
+        return view
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
     """Month-aligned named columns, an optional target column, and a ledger.
@@ -146,15 +180,15 @@ class FeatureTable:
     Every column has exactly one value per month; months are strictly
     increasing and contiguous. The columns are stored as one read-only,
     C-contiguous months x columns block, and ``columns[name]`` is a view
-    of one of its columns.
+    of one of its columns, made when that column is first asked for. A
+    slice shares the block: it keeps a row range of it and the column
+    names, and builds no column view.
     """
 
     months: tuple[MonthKey, ...]
     columns: Mapping[str, np.ndarray]
     target: str | None = None
     ledger: TransformLedger = field(default_factory=TransformLedger)
-    _block: np.ndarray = field(init=False, repr=False)
-    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         months = tuple(self.months)
@@ -179,11 +213,8 @@ class FeatureTable:
         index = {name: j for j, name in enumerate(self.columns)}
         if self.target is not None and self.target not in index:
             raise ValueError(f"target {self.target!r} is not a column")
-        block = _read_only(np.column_stack(checked))
         object.__setattr__(self, "months", months)
-        object.__setattr__(self, "columns", MappingProxyType(dict(zip(index, block.T))))
-        object.__setattr__(self, "_block", block)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "columns", _Columns(_read_only(np.column_stack(checked)), index))
 
     def __len__(self) -> int:
         return len(self.months)
@@ -217,8 +248,18 @@ class FeatureTable:
         return MonthlySeries(self.start, self.target_values(), name=self.target or "")
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
-        """The named columns as a new C-contiguous (n_rows, len(names)) array."""
-        return self._block.take([self._index[name] for name in names], axis=1)
+        """The named columns as a new C-contiguous (n_rows, len(names)) array;
+        a name that is not a column raises ``KeyError``."""
+        index = self.columns.index
+        return self.columns.block.take([index[name] for name in names], axis=1)
+
+    def value_range(self) -> float:
+        """The largest value in the table minus the smallest, over every
+        column (the target's too), read in place; ``inf`` when that
+        difference overflows a float. It bounds every column's range."""
+        block = self.columns.block
+        with np.errstate(over="ignore"):
+            return float(block.max() - block.min())
 
     def with_target(self, target: str) -> "FeatureTable":
         """Same table, sharing its columns, with the target set to ``target``."""
@@ -227,7 +268,8 @@ class FeatureTable:
         return _trusted_replace(self, target=target)
 
     def slice(self, first: MonthKey, last: MonthKey) -> "FeatureTable":
-        """Rows restricted to [first, last] inclusive, as read-only views; same ledger."""
+        """Rows restricted to [first, last] inclusive, as read-only views; same
+        ledger. Its cost does not grow with the number of columns."""
         if first > last:
             raise OutOfRangeError(f"inverted bounds {first}..{last}")
         if first < self.start or last > self.end:
@@ -235,10 +277,8 @@ class FeatureTable:
                 f"requested {first}..{last} outside table range {self.start}..{self.end}"
             )
         rows = slice(first - self.start, last - self.start + 1)
-        cols = MappingProxyType({name: arr[rows] for name, arr in self.columns.items()})
-        return _trusted_replace(
-            self, months=self.months[rows], columns=cols, _block=self._block[rows]
-        )
+        columns = _Columns(self.columns.block[rows], self.columns.index)
+        return _trusted_replace(self, months=self.months[rows], columns=columns)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureTable):

@@ -188,6 +188,53 @@ class TestFit:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "fit features are too wide: max - min overflows a float for f0\nfitted\n"
 
+    @pytest.mark.parametrize("n_rows,window", [(4, None), (9, (2, 7))])
+    def test_tables_shorter_than_min_split_give_every_tree_one_leaf(self, n_rows, window):
+        table = random_table(n_rows, 3, seed=n_rows)
+        if window is not None:  # a slice: its target is a view into a wider block
+            table = table.slice(table.months[window[0]], table.months[window[1]])
+        y = table.target_values()
+        params = ExtraTreesParams(n_trees=6, min_samples_split=len(y) + 1, seed=2)
+        model = fit(table, params)
+        leaf = np.add.reduce(y) / len(y)
+        for tree in model.trees:
+            assert tree.feature.tolist() == tree.right.tolist() == [-1]
+            assert tree.count.tolist() == [len(y)] and tree.number.tobytes() == leaf.tobytes()
+        assert model.importances.tolist() == [0.0, 0.0, 0.0]
+
+    def test_leaf_only_fits_still_name_too_wide_features(self):
+        # no threshold is drawn on the leaf-only path, so nothing can hang
+        # here; the range check must still run
+        wide = {"f0": [-1e308, 1e308, 0.0], "y": [1.0, 2.0, 3.0]}
+        apart = {"f1": [-1e308, -9e307, -1e308], "f2": [9e307, 1e308, 9e307]}
+        params = ExtraTreesParams(n_trees=3, min_samples_split=4, seed=1)
+        with pytest.raises(NonFiniteError, match="overflows a float for f0$"):
+            fit(table_from_arrays({**wide, **apart}), params)
+        # far-apart columns, each with a finite range, still fit
+        model = fit(table_from_arrays({**apart, "y": wide["y"]}), params)
+        assert all(tree.number.tolist() == [2.0] for tree in model.trees)
+
+    def test_streams_and_training_matrix_only_when_a_root_can_split(self, monkeypatch):
+        class StreamBuilt(Exception):
+            pass
+
+        def no_stream(seed):
+            raise StreamBuilt(seed)
+
+        gathered = []
+        matrix = FeatureTable.matrix
+        monkeypatch.setattr(np.random, "PCG64", no_stream)
+        monkeypatch.setattr(
+            FeatureTable, "matrix", lambda self, names: gathered.append(names) or matrix(self, names)
+        )
+        table = random_table(6, 2, seed=8)
+        fit(table, ExtraTreesParams(n_trees=4, min_samples_split=7, seed=1))
+        assert gathered == []
+        with pytest.raises(StreamBuilt):
+            fit(table, ExtraTreesParams(n_trees=4, min_samples_split=6, seed=1))
+        # one gather: the features, then the target
+        assert gathered == [("f0", "f1", "y")]
+
     def test_any_finite_table_fits_or_raises_a_domain_error(self, tmp_path):
         # over small tables of any finite values (the largest floats,
         # subnormals and signed zeros included) fit returns or raises a
@@ -368,7 +415,7 @@ class TestPredict:
     def test_missing_feature_rejected(self):
         model = fit(random_table(10, 2, seed=51), ExtraTreesParams(n_trees=2, seed=5))
         bad = table_from_arrays({"f0": [1.0, 2.0], "y": [0.0, 0.0]})
-        with pytest.raises(MissingFeatureError):
+        with pytest.raises(MissingFeatureError, match=r"columns: \['f1'\]$"):
             predict(model, bad)
 
     def test_extra_columns_ignored(self):
@@ -904,7 +951,9 @@ class TestLockstep:
         for i, fitted in enumerate(model.trees):
             sampler = RandomSplitSampler(np.random.Generator(np.random.PCG64(seed ^ i)))
             draws = extratrees._SamplerDraws(sampler)
-            [grown], [tree_acc] = extratrees._grow(X, y, 1, k or X.shape[1], min_split, draws)
+            Xy = np.hstack((X, y[:, None]))
+            forest = lambda: extratrees._Lockstep(Xy, 1, k or X.shape[1], min_split, draws)  # noqa: E731
+            [grown], [tree_acc] = extratrees._grow(y, X.shape[1], 1, min_split, forest)
             for name in ("feature", "threshold", "left", "right", "value", "count"):
                 ours, theirs = getattr(fitted, name), getattr(grown, name)
                 assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name

@@ -240,6 +240,10 @@ class TestFeatureTable:
         s = t.slice(t.months[lo], t.months[hi])
         cols = {n: c[lo : hi + 1].copy() for n, c in t.columns.items()}
         assert s == FeatureTable(t.months[lo : hi + 1], cols, t.target, t.ledger)
+        # its columns answer by name like a dict of the parent's names
+        assert list(s.columns) == list(cols) and len(s.columns) == len(cols)
+        assert all(name in s.columns for name in cols) and "nope" not in s.columns
+        assert s.columns.keys() == cols.keys() and s.columns.get("nope") is None
         for name, column in s.columns.items():
             assert np.shares_memory(column, t.column(name))
             with pytest.raises(ValueError):  # nor can the parent's, which the slice shares
