@@ -18,18 +18,19 @@ Their records (:class:`EmployerRecord`, :class:`StormEvent`,
 named tuples (``typing.NamedTuple``), so each also equals the plain tuple
 of its values, and a schema's header is its record type's fields.
 
-A scan holds one block of ``_BLOCK`` rows at a time. Each column of a
-block maps its parser over its cells once. A cell the parser rejects keeps
-the parser's finding unless it needs stripping or is an empty required
-cell; only those cells and the cells the column rejects are checked one at
-a time, so a good row builds no :class:`Finding` and a bad row gets one
-per bad cell, in column order. The month, date and count parsers keep the
-last ``_KNOWN_CELLS`` values they returned for the process, so the months
-of every file of a run are parsed once. Across blocks a scan keeps only the
-unique keys seen so far, the last ordered value and, for ``validate``, one
-buffer of lines and values per outlier column. A scan reads the file to its
-end, so a file that fails to decode or to split into CSV fields anywhere
-raises :class:`UnreadableFileError`, even when an earlier row is bad.
+A scan holds one block of ``_BLOCK`` rows at a time. Each column states
+its cell rule once, as :attr:`Column.read` (strip, reject an empty
+required cell, parse, check the minimum), and a block maps it over its
+cells once: a good row builds no :class:`Finding`, a bad row gets one per
+bad cell in column order, and a row with a wrong field count only its
+``field_count`` finding. A month, date or count column keeps its last
+``_KNOWN_CELLS`` good cells for the process, and the employer and
+monthly-series files share one month column, so the months of every file
+of a run are parsed once. Across blocks a scan keeps only the unique keys
+seen so far, the last ordered value and, for ``validate``, one buffer of
+lines and values per outlier column. A scan reads the file to its end, so
+a file that fails to decode or to split into CSV fields anywhere raises
+:class:`UnreadableFileError`, even when an earlier row is bad.
 :meth:`ValidationReport.write_json` writes a report's JSON one finding at
 a time, in the layout of ``json.dumps(report.to_dict(), indent=2)``.
 
@@ -53,7 +54,7 @@ import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, groupby, islice, repeat
 from operator import attrgetter, getitem, is_not, itemgetter, ne
 from pathlib import Path
@@ -104,12 +105,6 @@ class _BadCell(Exception):
     """A cell its column rejects; ``args`` are the finding's kind and message."""
 
 
-# texts each cached parser keeps with its value: those whose texts recur
-# within a process; a text it rejects raises ``_BadCell`` and is not kept
-_KNOWN_CELLS = 4096
-
-
-@lru_cache(_KNOWN_CELLS)
 def _month(text: str) -> MonthKey:
     try:
         return MonthKey.parse(text)
@@ -117,9 +112,7 @@ def _month(text: str) -> MonthKey:
         raise _BadCell("non_parseable", f"not a YYYY-MM month: {text!r}") from None
 
 
-@lru_cache(_KNOWN_CELLS)
 def _date(text: str) -> dt.date:
-    text = text.strip()
     try:
         if (value := dt.date.fromisoformat(text)).isoformat() == text:  # not 20200104, 2020-W02-6
             return value
@@ -128,10 +121,8 @@ def _date(text: str) -> dt.date:
     raise _BadCell("non_parseable", f"not a YYYY-MM-DD date: {text!r}")
 
 
-@lru_cache(_KNOWN_CELLS)
 def _integer(text: str) -> int:
     """Exactly what ``int()`` takes; a number it refuses is a type mismatch."""
-    text = text.strip()
     try:
         value = int(text)
         float(value)  # beyond the float range is no count either
@@ -155,15 +146,37 @@ def _real(text: str) -> float:
     return value
 
 
+# good cells a month, date or count column keeps with their values for the
+# process, because those texts recur; a real column keeps none, since its
+# texts rarely recur and a cache that misses costs more than the parse
+_KNOWN_CELLS = 4096
+
+
 @dataclass(frozen=True)
 class Column:
-    """How one column's cells are read: parsed, then bounded."""
+    """How one column's cells are read: stripped, parsed, then bounded."""
 
     name: str
-    parse: Callable[[str], Any]  # raises _BadCell
+    parse: Callable[[str], Any]  # takes the stripped text; raises _BadCell
     required: bool = True  # an empty cell is a missing_value error
     minimum: int | None = None
     outliers: bool = False  # joins the robust-outlier pass
+
+    @cached_property
+    def read(self) -> Callable[[str], Any]:
+        """The column's rule for one raw cell: its value, or ``_BadCell``."""
+        parse, required, minimum = self.parse, self.required, self.minimum
+
+        def read(raw: str) -> Any:
+            text = raw.strip()
+            if not text and required:
+                raise _BadCell("missing_value", "cell is empty")
+            value = parse(text)
+            if minimum is not None and value < minimum:
+                raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
+            return value
+
+        return lru_cache(_KNOWN_CELLS)(read) if parse in (_month, _date, _integer) else read
 
 
 @dataclass(frozen=True)
@@ -187,10 +200,14 @@ class Schema:
         return self.record._fields
 
 
+# one column, so one cache, for the months of the employer and monthly-series
+# files: the 49 files of one ``nowcast backtest`` read their months once
+_MONTH = Column("month", _month)
+
 SCHEMAS: dict[str, Schema] = {
     "employer": Schema(
         columns=(
-            Column("month", _month),
+            _MONTH,
             Column("active_employees", _integer, minimum=0, outliers=True),
             Column("employer_id", str),
             Column("sector", str, required=False),
@@ -223,7 +240,7 @@ SCHEMAS: dict[str, Schema] = {
         saturdays="week_ending",
     ),
     "monthly-series": Schema(
-        columns=(Column("value", _real, outliers=True), Column("month", _month)),
+        columns=(Column("value", _real, outliers=True), _MONTH),
         record=_Observation,
         contiguous="month",
         needs_rows=True,
@@ -326,48 +343,20 @@ def _rows(path) -> Iterator[list[str]]:
 
 
 _FINDING = itemgetter(2)
-_PRESENT = partial(is_not, None)
 
 
 def _column(c: Column, order: int) -> Callable:
     """How column ``c`` of a block is taken: ``take(cells, lines, found)``
     gives the cells' values, ``None`` at a bad cell, and appends ``(line,
-    order, finding)`` to ``found`` for each bad cell.
-
-    Text and key columns are given the block's stripped texts, which are a
-    text column's values. Any other column maps its parser over the cells
-    once, and the map resumes after a cell the parser rejects. That cell's
-    finding is the parser's own when the cell needs no stripping and is not
-    an empty required cell; any other goes through the per-cell check,
-    which words its finding from the stripped text. Cells that pass the
-    parser but not the column (an empty required text, a value below the
-    minimum) are looked for one by one only when a test over the block
-    finds one.
+    order, finding)`` to ``found`` for each bad cell. It maps the column's
+    rule (:attr:`Column.read`) over the cells once, resuming after a cell
+    the rule rejects; text and key cells come stripped, so a text column's
+    cells are its values unless a required one is empty.
     """
-    parse, required, minimum, name = c.parse, c.required, c.minimum, c.name
-
-    def report(bad: _BadCell, line: int, found: list) -> None:
-        kind, message = bad.args
-        found.append((line, order, Finding(name, line, kind, "error", message)))
-
-    def check(raw: str, line: int, found: list) -> Any:
-        """One cell's value, or ``None`` with its finding appended to ``found``."""
-        text = raw.strip()
-        try:
-            if not text and required:
-                raise _BadCell("missing_value", "cell is empty")
-            value = parse(text)
-            if minimum is not None and value < minimum:
-                raise _BadCell("out_of_range", f"value {float(value)} below {minimum}")
-        except _BadCell as bad:
-            report(bad, line, found)
-            return None
-        return value
+    read, name, texts, required = c.read, c.name, c.parse is str, c.required
 
     def take(cells: Sequence[str], lines: Sequence[int], found: list) -> list:
-        if parse is str:  # the stripped texts
-            if required and "" in cells:
-                return [t or check(t, at, found) for t, at in zip(cells, lines)]
+        if texts and not (required and "" in cells):
             return cells
         values: list = []
         rest = iter(cells)
@@ -375,38 +364,27 @@ def _column(c: Column, order: int) -> Callable:
             try:
                 # CPython's ``list +=`` keeps the values the map gave before
                 # the cell that raised; ``rest`` resumes after that cell
-                values += map(parse, rest)
+                values += map(read, rest)
             except _BadCell as bad:
-                k = len(values)
-                cell = cells[k]
-                if cell == cell.strip() and (cell or not required):
-                    # the check would parse this same text again and reject it alike
-                    report(bad, lines[k], found)
-                    values.append(None)
-                else:
-                    values.append(check(cell, lines[k], found))
-        if minimum is not None:
-            good = filter(_PRESENT, values) if None in values else values
-            if min(good, default=minimum) < minimum:
-                for k, value in enumerate(values):
-                    if value is not None and value < minimum:
-                        values[k] = check(cells[k], lines[k], found)
+                at = lines[len(values)]
+                found.append((at, order, Finding(name, at, bad.args[0], "error", bad.args[1])))
+                values.append(None)
         return values
 
     return take
 
 
-def _scan(path, spec: Schema) -> Iterator[tuple[int, int, list[list] | None, list[Finding]]]:
-    """Yield ``(line, rows, columns, findings)`` for each block of data rows.
+def _scan(path, spec: Schema) -> Iterator[tuple[Sequence[int], list[list] | None, list[Finding]]]:
+    """Yield ``(lines, columns, findings)`` for each block of data rows.
 
-    ``line`` is the block's first file line and ``rows`` its row count;
-    ``columns`` holds one list of parsed values per header column, ``None``
-    at a bad cell and at a row with a wrong field count. The file-level
-    findings, a wrong header (which ends the scan) and no data rows, come
-    as a block of no rows and no columns. Findings are in file order, and a
-    row's come in column order, then ``duplicate``, ``ordering``, ``gap``
-    and ``convention``; a row with a wrong field count gets only its
-    ``field_count`` finding. Each column of a block is taken at once
+    ``lines`` are the file lines of the block's rows with the header's field
+    count, and ``columns`` holds one list of those rows' values per header
+    column, ``None`` at a bad cell. A row with a wrong field count gets only
+    its ``field_count`` finding and is in neither. The file-level findings,
+    a wrong header (which ends the scan) and no data rows, come with no
+    lines and no columns. Findings are in file order, and a row's come in
+    column order, then ``duplicate``, ``ordering``, ``gap`` and
+    ``convention``. Each column of a block is taken at once
     (:func:`_column`), and the file is always read to its end.
     """
     blocks = _blocks(path)
@@ -418,7 +396,7 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, int, list[list] | None, lis
         for _ in blocks:  # a read failure further on still wins
             pass
         got = f"expected {','.join(spec.header)!r}, got {','.join(header)!r}"
-        yield 1, 0, None, [Finding("<header>", 1, "header_mismatch", "error", got)]
+        yield (), None, [Finding("<header>", 1, "header_mismatch", "error", got)]
         return
     width = len(spec.header)
     index = {name: i for i, name in enumerate(spec.header)}
@@ -447,16 +425,15 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, int, list[list] | None, lis
             continue
         n = len(rows)
         found: list[tuple[int, int, Finding]] = []
-        good, lines = rows, range(line, line + n)
+        lines: Sequence[int] = range(line, line + n)
         if {*map(len, rows)} != {width}:
             fits = [len(row) == width for row in rows]
-            good = list(compress(rows, fits))
             for at, row in zip(lines, rows):
                 if len(row) != width:
                     message = f"expected {width} fields, got {len(row)}"
                     found.append((at, 0, Finding("<row>", at, "field_count", "error", message)))
-            lines = list(compress(lines, fits))
-        cells = list(zip(*good)) or [()] * width
+            rows, lines = list(compress(rows, fits)), list(compress(lines, fits))
+        cells = list(zip(*rows)) or [()] * width
         texts: list = [None] * width
         values: list = [None] * width
         for i, share, take in takes:
@@ -504,19 +481,11 @@ def _scan(path, spec: Schema) -> Iterator[tuple[int, int, list[list] | None, lis
                     message = f"{value} is not a Saturday"
                     finding = Finding(spec.saturdays, at, "convention", "warning", message)
                     found.append((at, rules + 3, finding))
-        if len(good) < n:  # each wrong-width row holds None in every column
-            values = [_spread(column, fits) for column in values]
         found.sort()
-        yield line, n, values, list(map(_FINDING, found))
+        yield lines, values, list(map(_FINDING, found))
         line += n
     if spec.needs_rows and line == 2:
-        yield 1, 0, None, [Finding("<file>", 1, "no_data", "error", "no data rows")]
-
-
-def _spread(column: list, fits: list[bool]) -> list:
-    """``column``'s values at the rows that fit, ``None`` at the others."""
-    values = iter(column)
-    return [next(values) if fit else None for fit in fits]
+        yield (), None, [Finding("<file>", 1, "no_data", "error", "no data rows")]
 
 
 def _outliers(columns: list[tuple[str, array, array]]) -> list[Finding]:
@@ -564,17 +533,15 @@ def validate(path, schema: str) -> ValidationReport:
         if c.outliers
     ]
     findings: list[Finding] = []
-    for line, n, columns, found in _scan(path, spec):
+    for block_lines, columns, found in _scan(path, spec):
         findings += found
         for _, i, lines, numbers in watched if columns else ():
-            column = columns[i]
+            column, kept = columns[i], block_lines
             if None in column:
                 good = list(map(is_not, column, repeat(None)))
-                lines.extend(compress(range(line, line + n), good))
-                numbers.extend(compress(column, good))
-            else:
-                lines.extend(range(line, line + n))
-                numbers.extend(column)
+                column, kept = compress(column, good), compress(block_lines, good)
+            lines.extend(kept)
+            numbers.extend(column)
     # a column's outliers follow those of the columns with an earlier first good value
     columns = [(name, lines, numbers) for name, _, lines, numbers in watched if lines]
     columns.sort(key=lambda c: c[1][0])
@@ -594,7 +561,7 @@ def _read(path, spec: Schema) -> list:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for _, _, columns, found in _scan(path, spec):
+        for _, columns, found in _scan(path, spec):
             if error is None:
                 error = next((f for f in found if f.severity == "error"), None)
                 if error is None:

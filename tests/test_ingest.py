@@ -515,9 +515,19 @@ def records_or_error(read, path):
         return f"MalformedFileError: {exc}"
 
 
+def column(schema: str, name: str) -> ingest.Column:
+    return next(c for c in SCHEMAS[schema].columns if c.name == name)
+
+
+def column_caches() -> list:
+    """The cached cell rules of the schemas' columns, each once."""
+    reads = {id(c.read): c.read for spec in SCHEMAS.values() for c in spec.columns}
+    return [read for read in reads.values() if hasattr(read, "cache_info")]
+
+
 def clear_parser_caches():
-    for parse in (ingest._month, ingest._date, ingest._integer):
-        parse.cache_clear()
+    for read in column_caches():
+        read.cache_clear()
 
 
 @settings(max_examples=400, deadline=None)
@@ -532,6 +542,12 @@ def clear_parser_caches():
 @example(("claims", CLAIMS_HEADER + "2017-01-07,-3,1\n2017-01-14,-3,1\n"))
 # padding that str.strip removes but int() and float() do not
 @example(("storm", STORM_HEADER + "TX,Hail,\x1c2017-01-01,\x1c3,\x1f1.5\n"))
+# a wrong-width row between two outlier rows of one block
+@example(("storm", STORM_HEADER + "TX,hail,2017-01-01,1,5\n" * 5 + "TX,hail,2017-01-01,90,5\n"
+          "TX,hail\n" "TX,hail,2017-01-01,90,5\n"))
+# a wrong-width last row of a block, then a padded bad cell in the next
+@example(("storm", STORM_HEADER + "TX,hail,2017-01-01,1,5\n" * (ingest._BLOCK - 2)
+          + "TX,hail\n" + "TX,hail, 2017-01-0x ,1,5\n"))
 def test_the_scan_gives_what_the_per_cell_scan_gave(tmp_path_factory, case):
     # every finding field in the same order, and the same records or error,
     # from parsers whose caches start empty
@@ -634,16 +650,17 @@ def test_a_parser_cache_keeps_at_most_known_cells_values(tmp_path):
     text = "month,value\n" + "".join(f"{m},{i}\n" for i, m in enumerate(months))
     clear_parser_caches()
     read_monthly_series_csv(write(tmp_path, "s.csv", text))
-    assert ingest._month.cache_info().currsize == ingest._KNOWN_CELLS
+    assert column("monthly-series", "month").read.cache_info().currsize == ingest._KNOWN_CELLS
 
 
 def test_a_month_read_for_one_schema_is_a_cache_hit_for_another(tmp_path):
-    employer, series = SCHEMAS["employer"].columns[0], SCHEMAS["monthly-series"].columns[1]
+    employer, series = column("employer", "month"), column("monthly-series", "month")
     assert employer.parse is series.parse is ingest._month
+    assert employer.read is series.read
     clear_parser_caches()
     read_monthly_series_csv(write(tmp_path, "s.csv", "month,value\n2020-01,1\n"))
     read_employer_csv(write(tmp_path, "e.csv", EMPLOYER_HEADER + "X,2020-01,1,s,a\n"))
-    assert ingest._month.cache_info()[:2] == (1, 1)  # hits, misses
+    assert employer.read.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_threads_sharing_the_parser_caches_get_the_serial_results(tmp_path):
@@ -669,8 +686,8 @@ def test_threads_sharing_the_parser_caches_get_the_serial_results(tmp_path):
     finally:
         sys.setswitchinterval(switch)
     assert got == want * 2
-    for parse in (ingest._month, ingest._date, ingest._integer):
-        assert parse.cache_info().currsize <= parse.cache_info().maxsize
+    for read in column_caches():
+        assert read.cache_info().currsize <= read.cache_info().maxsize
 
 
 def counting(parse, calls: list):
@@ -717,15 +734,13 @@ def test_a_bad_cell_costs_one_more_parse_not_a_block(tmp_path, schema):
     errors = [f for f in report.findings if f.kind in ("non_parseable", "out_of_range")]
     assert len(errors) == bad
     for name, (count,) in calls.items():
-        assert count <= n + 3, name  # one call per cell, one more per bad cell
+        assert count == n, name  # one call per cell, bad cells included
 
 
 @pytest.mark.parametrize("schema", sorted(SCHEMAS))
 def test_a_rejected_cell_without_padding_is_parsed_once(tmp_path, schema):
-    # in each parsed column, a bad cell that needs no stripping keeps the
-    # parser's own finding; a padded bad cell is parsed again, stripped, to
-    # word its finding, unless it is a key cell, which the scan strips first;
-    # an empty cell gets missing_value without a second parse
+    # in each parsed column, a bad cell, padded or not, is parsed once, as
+    # its stripped text, and an empty cell gets missing_value without a parse
     spec = SCHEMAS[schema]
     n = 40
     rows = [good_row(schema, i, i % 40) for i in range(n)]
@@ -747,13 +762,12 @@ def test_a_rejected_cell_without_padding_is_parsed_once(tmp_path, schema):
     kinds = collections.Counter(f.kind for f in report.findings if f.severity == "error")
     assert kinds["non_parseable"] == 2 * len(parsed) and kinds["missing_value"] == len(parsed)
     for _, c in parsed:
-        padded_again = c.name not in spec.unique
-        # the validate and the read each parse every cell once, plus the padded one
-        assert calls[c.name][0] == 2 * (n + padded_again), c.name
+        # the validate and the read each parse every non-empty cell once
+        assert calls[c.name][0] == 2 * (n - 1), c.name
 
 
 def test_ingest_keeps_no_module_state_but_its_schemas_and_parser_caches():
-    # a value that outlives a scan lives in a parser's bounded cache, not in
+    # a value that outlives a scan lives in a column's bounded cache, not in
     # a container of the module's own
     containers = (dict, list, set, array, bytearray, collections.deque)
     held = [
@@ -762,10 +776,16 @@ def test_ingest_keeps_no_module_state_but_its_schemas_and_parser_caches():
         if not name.startswith("__") and isinstance(value, containers)
     ]
     assert held == ["SCHEMAS"]
-    cached = [name for name, value in vars(ingest).items() if hasattr(value, "cache_info")]
-    assert sorted(cached) == ["_date", "_integer", "_month"]
-    for name in cached:
-        assert getattr(ingest, name).cache_info().maxsize == ingest._KNOWN_CELLS
+    assert not [name for name, value in vars(ingest).items() if hasattr(value, "cache_info")]
+    # a month, date or count column keeps one bounded cache, any other none
+    recurring = (ingest._month, ingest._date, ingest._integer)
+    for spec in SCHEMAS.values():
+        for c in spec.columns:
+            assert set(vars(c)) <= {*(f.name for f in dataclasses.fields(c)), "read"}
+            if c.parse in recurring:
+                assert c.read.cache_info().maxsize == ingest._KNOWN_CELLS, c.name
+            else:
+                assert not hasattr(c.read, "cache_info"), c.name
 
 
 def echo(text: str, schema: str, rotation: int) -> str:
