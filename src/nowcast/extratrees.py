@@ -591,9 +591,10 @@ def fit(
     accepted for compatibility and ignored. Raises :class:`NonFiniteError`
     when the targets are too large for a node's sums of squares to stay
     finite, or when a feature's range (its maximum minus its minimum) is
-    not a finite float. The features' ranges are bounded by the table's
-    :meth:`~FeatureTable.value_range`, read in place; only when that bound
-    is not finite are the features gathered to name the wide ones. The
+    not a finite float. Each limit is settled once per block, on the whole
+    block the table is a row range of, and checked on the table's own rows,
+    read in place, only when the block fails it; the features are gathered,
+    to name the wide ones, only when the table's range is not finite. The
     training matrix (the features, then the target) is gathered by one
     ``table.matrix`` call, and the trees' PCG64 streams are built, only
     when some root can split (at least ``min_samples_split`` rows).
@@ -607,6 +608,7 @@ def fit(
         raise TooShortError(f"fit requires at least 2 rows, got {len(table)}")
 
     y = table.target_values()
+    whole = table.columns.whole
 
     k = params.k_features if params.k_features is not None else len(names)
     if k > len(names):
@@ -615,9 +617,10 @@ def fit(
         )
 
     # every node's sums, squares and scores stay finite while 4 * s**2 does;
-    # s is at most n * max|target|, so the exact sum is taken only when that
-    # bound comes near the limit
-    if not len(y) * float(np.abs(y).max()) < 1e150:
+    # s is at most n * max|target| of these rows, bounded in turn by that of
+    # the whole block; the exact sum is taken only when both near the limit
+    bound = len(whole.values) * whole.magnitudes[whole.index[table.target]]
+    if not (bound < 1e150 or len(y) * float(np.abs(y).max()) < 1e150):
         try:
             scale = math.fsum(np.abs(y).tolist())
             finite = math.isfinite(4 * scale * scale)
@@ -628,10 +631,10 @@ def fit(
                 "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
             )
     # a threshold is drawn strictly inside a node's range, so every feature's
-    # range must be finite. The table's range bounds them all and is read in
-    # place; a target wide enough to make it overflow has failed the check
-    # above, so the features are gathered only when it is not finite
-    if not math.isfinite(table.value_range()):
+    # range must be finite. The whole block's range bounds the table's, which
+    # bounds them all; a target wide enough to make them overflow has failed
+    # the check above, so the features are gathered only when neither is finite
+    if not (math.isfinite(whole.value_range) or math.isfinite(table.value_range())):
         X = table.matrix(names)
         with np.errstate(over="ignore"):
             spans = (X.max(axis=0) - X.min(axis=0)).tolist()

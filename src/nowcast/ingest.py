@@ -351,13 +351,21 @@ def _column(c: Column, order: int) -> Callable:
     order, finding)`` to ``found`` for each bad cell. It maps the column's
     rule (:attr:`Column.read`) over the cells once, resuming after a cell
     the rule rejects; text and key cells come stripped, so a text column's
-    cells are its values unless a required one is empty.
+    cells are its values unless a required one is empty. A real column's
+    block skips the rule when plain ``float`` takes it whole and in bounds.
     """
-    read, name, texts, required = c.read, c.name, c.parse is str, c.required
+    read, name, parse, required, minimum = c.read, c.name, c.parse, c.required, c.minimum
 
     def take(cells: Sequence[str], lines: Sequence[int], found: list) -> list:
-        if texts and not (required and "" in cells):
+        if parse is str and not (required and "" in cells):
             return cells
+        if parse is _real:  # ``float`` strips as the rule does or raises; finite sum, finite terms
+            try:
+                values = list(map(float, cells))
+                if math.isfinite(sum(values)) and (minimum is None or min(values) >= minimum):
+                    return values
+            except ValueError:  # a cell ``float`` refuses, or no cells for ``min``
+                pass
         values: list = []
         rest = iter(cells)
         while len(values) < len(cells):
@@ -418,7 +426,7 @@ def _scan(path, spec: Schema) -> Iterator[tuple[Sequence[int], list[list] | None
     seen = make()
     ordered = (spec.increasing, spec.contiguous, spec.saturdays)
     increasing, contiguous, saturdays = map(index.get, ordered)
-    last_increasing = last_contiguous = None
+    last_increasing = last_contiguous = last_month = None
     line = 2
     for rows in chain((first[1:],), blocks):
         if not rows:
@@ -470,11 +478,12 @@ def _scan(path, spec: Schema) -> Iterator[tuple[Sequence[int], list[list] | None
         if contiguous is not None:
             for at, value in zip(lines, values[contiguous]):
                 if value is not None:
-                    if last_contiguous is not None and value - last_contiguous != 1:
+                    month = value.year * 12 + value.month
+                    if last_month is not None and month - last_month != 1:
                         message = f"{value} does not immediately follow {last_contiguous}"
                         finding = Finding(spec.contiguous, at, "gap", "error", message)
                         found.append((at, rules + 2, finding))
-                    last_contiguous = value
+                    last_contiguous, last_month = value, month
         if saturdays is not None:
             for at, value in zip(lines, values[saturdays]):
                 if value is not None and value.weekday() != 5:

@@ -7,13 +7,15 @@ A slice, window or ``with_target`` of a valid object is not validated again:
 its arrays are read-only views that share memory with the parent's. A
 table keeps its columns in one months x columns block, so a slice is one
 row range of it, whatever the number of columns, and ``matrix`` is one
-gather from it.
+gather from it. A slice shares its block's checked facts too, computed
+once over the whole block, so they bound those of every row range of it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -139,19 +141,44 @@ class MonthlySeries:
         )
 
 
+class _Block:
+    """The block a table's constructor made, with its value range, each
+    column's largest magnitude and the feature names per target, computed
+    once and shared by every slice and ``with_target`` table of that table.
+    The figures are over all the block's rows, so they bound those of any
+    row range; taken from a slice, they would say nothing of later rows."""
+
+    def __init__(self, values: np.ndarray, index: Mapping[str, int]):
+        self.values, self.index, self._names = values, index, {}
+
+    @cached_property
+    def value_range(self) -> float:
+        with np.errstate(over="ignore"):
+            return float(self.values.max() - self.values.min())
+
+    @cached_property
+    def magnitudes(self) -> list[float]:
+        return np.abs(self.values).max(axis=0).tolist()
+
+    def feature_names(self, target: str | None) -> tuple[str, ...]:
+        if target not in self._names:
+            self._names[target] = tuple(name for name in self.index if name != target)
+        return self._names[target]
+
+
 class _Columns(Mapping):
     """A table's columns by name, over its read-only months x columns block.
 
     Membership, ``len`` and iteration read the names alone. The view of a
     column is made from the block when that column is first asked for and
     kept, so asking again gives the same array; a slice of the table is a
-    new mapping over a row range of the block, sharing the names.
+    new mapping over a row range of the block, sharing the ``whole`` block.
     """
 
-    __slots__ = ("block", "index", "_views")
+    __slots__ = ("block", "index", "whole", "_views")
 
-    def __init__(self, block: np.ndarray, index: Mapping[str, int]):
-        self.block, self.index, self._views = block, index, {}
+    def __init__(self, block: np.ndarray, whole: _Block):
+        self.block, self.index, self.whole, self._views = block, whole.index, whole, {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         view = self._views.get(name)
@@ -214,7 +241,8 @@ class FeatureTable:
         if self.target is not None and self.target not in index:
             raise ValueError(f"target {self.target!r} is not a column")
         object.__setattr__(self, "months", months)
-        object.__setattr__(self, "columns", _Columns(_read_only(np.column_stack(checked)), index))
+        block = _read_only(np.column_stack(checked))
+        object.__setattr__(self, "columns", _Columns(block, _Block(block, index)))
 
     def __len__(self) -> int:
         return len(self.months)
@@ -234,7 +262,7 @@ class FeatureTable:
     @property
     def feature_names(self) -> tuple[str, ...]:
         """Column names excluding the target, in table order."""
-        return tuple(name for name in self.columns if name != self.target)
+        return self.columns.whole.feature_names(self.target)
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -277,7 +305,7 @@ class FeatureTable:
                 f"requested {first}..{last} outside table range {self.start}..{self.end}"
             )
         rows = slice(first - self.start, last - self.start + 1)
-        columns = _Columns(self.columns.block[rows], self.columns.index)
+        columns = _Columns(self.columns.block[rows], self.columns.whole)
         return _trusted_replace(self, months=self.months[rows], columns=columns)
 
     def __eq__(self, other: object) -> bool:

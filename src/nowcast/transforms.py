@@ -199,7 +199,7 @@ def reconstruct_level(
     mirroring deployment where last month's truth is already published.
     """
     need = required_history(ledger)
-    if history.end != month.shift(-1):
+    if month - history.start != len(history):  # history ends the month before
         raise AnchorMismatchError(
             f"history must end at {month.shift(-1)}, ends at {history.end}"
         )
@@ -216,7 +216,7 @@ def reconstruct_level(
     stages = [history.values]
     for lag in lags[:-1]:
         stages.append(_difference(stages[-1], lag))
-        if not np.all(np.isfinite(stages[-1])):
+        if not np.isfinite(stages[-1]).all():
             raise NonFiniteError("differencing the history overflows")
 
     # Backward pass: undo each step, last first, anchored on the stage it differenced.

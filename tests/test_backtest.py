@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nowcast import backtest
 from nowcast.backtest import (
     MIN_TRAIN_FLOOR,
     BacktestConfig,
@@ -20,7 +22,7 @@ from nowcast.errors import (
     NonFiniteError,
     TooShortError,
 )
-from nowcast.extratrees import ExtraTreesParams
+from nowcast.extratrees import ExtraTreesParams, fit
 from nowcast.synth import SynthConfig, generate
 from nowcast.timeseries import FeatureTable, MonthKey, MonthlySeries, align
 from nowcast.transforms import Approach
@@ -353,3 +355,86 @@ class TestReportOutputs:
         assert month == str(report.records[0].month)
         assert float(actual) == report.records[0].actual_level
         assert float(predicted) == report.records[0].predicted_level
+
+
+def outcome(table, config):
+    """The report's JSON, or the type and message of what the run raised."""
+    try:
+        return run_backtest(table, config).to_json()
+    except NonFiniteError as exc:
+        return type(exc), str(exc)
+
+
+def fit_checking_the_window(table, params, n_threads=None):
+    """``fit``, after its two input limits are checked on the window's own
+    rows: ``abs(y).max()`` and ``value_range()`` read on every window."""
+    y = table.target_values()
+    if not len(y) * float(np.abs(y).max()) < 1e150:
+        try:
+            scale = math.fsum(np.abs(y).tolist())
+            finite = math.isfinite(4 * scale * scale)
+        except OverflowError:  # fsum overflowed
+            finite = False
+        if not finite:
+            raise NonFiniteError(
+                "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
+            )
+    if not math.isfinite(table.value_range()):
+        X = table.matrix(table.feature_names)
+        with np.errstate(over="ignore"):
+            spans = X.max(axis=0) - X.min(axis=0)
+        wide = [n for n, span in zip(table.feature_names, spans) if not math.isfinite(span)]
+        if wide:
+            raise NonFiniteError(
+                f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
+            )
+    return fit(table, params, n_threads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    approach=st.sampled_from(list(Approach)),
+    n_months=st.integers(26, 40),
+    n_features=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    spike=st.sampled_from([None, 1e140, 1e152, 1e154, 1e160, 1e308]),
+    spike_column=st.integers(0, 3),
+    spike_row=st.integers(0, 39),
+    min_samples_split=st.sampled_from([5, 100_000]),
+)
+# a late spike: the first windows fit, a later one breaks the target limit
+@example(Approach.MONTH_ONEHOT, 30, 1, 3, 1e154, 0, 5, 100_000)
+# ... or the range of a feature
+@example(Approach.SEASONAL_DIFF, 40, 2, 5, 1e308, 1, 3, 100_000)
+def test_block_facts_give_the_records_and_errors_of_checking_every_window(
+    approach, n_months, n_features, seed, spike, spike_column, spike_row, min_samples_split
+):
+    # fit settles its range and target limits once on the block every window
+    # slices; a reference that checks the rows of every window must give the
+    # same records and the same errors. A spike of v between neighbours of 0
+    # differences to v then -v: past 1e150 the target's exact sum is taken,
+    # from 1e154 it overflows, and 1e308 overflows any spread
+    rng = np.random.default_rng(seed)
+    months = tuple(MonthKey(2010, 1).shift(i) for i in range(n_months))
+    columns = {f"x{j}": np.cumsum(rng.normal(size=n_months)) for j in range(n_features)}
+    columns["y"] = np.cumsum(rng.normal(size=n_months))
+    if spike is not None:
+        name = list(columns)[-1 - spike_column % len(columns)]  # 0 is the target
+        row = n_months - 1 - spike_row % n_months  # 0 is the last month
+        columns[name][max(row - 1, 0) : row + 2] = 0.0
+        columns[name][row] = spike
+    table = FeatureTable(months, columns, target="y")
+    config = BacktestConfig(
+        MIN_TRAIN_FLOOR[approach],
+        approach,
+        ExtraTreesParams(n_trees=2, min_samples_split=min_samples_split, seed=seed),
+    )
+    reads = []
+    value_range = FeatureTable.value_range
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(FeatureTable, "value_range", lambda t: reads.append(t) or value_range(t))
+        got = outcome(table, config)
+        # a block whose spread is finite leaves every window's own range unread
+        assert not reads or spike == 1e308
+        m.setattr(backtest, "fit", fit_checking_the_window)
+        assert got == outcome(table, config)

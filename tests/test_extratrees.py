@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -201,6 +202,27 @@ class TestFit:
             assert tree.feature.tolist() == tree.right.tolist() == [-1]
             assert tree.count.tolist() == [len(y)] and tree.number.tobytes() == leaf.tobytes()
         assert model.importances.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [("f0", 1e308, "too wide: max - min overflows a float for f0"),
+         ("y", 1e155, "too large: 4 * (sum of |target|)**2 overflows")],
+        ids=["wide-feature", "large-target"],
+    )
+    def test_a_window_past_the_limit_raises_after_an_earlier_window_fitted(
+        self, column, value, message
+    ):
+        # slices of one block share what is known of it: a window that fits
+        # must not mark the block as within the limits for the windows after
+        # it, whose own rows break them
+        columns = {"f0": np.linspace(-1.0, 1.0, 12), "y": np.linspace(0.0, 1.0, 12)}
+        columns[column][8:10] = -value, value
+        table = table_from_arrays(columns)
+        params = ExtraTreesParams(n_trees=2, min_samples_split=100, seed=1)
+        fit(table.slice(table.months[0], table.months[7]), params)
+        with pytest.raises(NonFiniteError, match=re.escape(message)):
+            fit(table.slice(table.months[0], table.months[9]), params)
+        fit(table.slice(table.months[1], table.months[7]), params)
 
     def test_leaf_only_fits_still_name_too_wide_features(self):
         # no threshold is drawn on the leaf-only path, so nothing can hang

@@ -766,6 +766,44 @@ def test_a_rejected_cell_without_padding_is_parsed_once(tmp_path, schema):
         assert calls[c.name][0] == 2 * (n - 1), c.name
 
 
+# what a real cell may hold: padding that ``str.strip`` removes (the ASCII
+# and Unicode spaces, and the separators U+001C-U+001F, which ``float``
+# refuses), and texts that ``float`` reads, refuses or reads as non-finite
+SPACES = st.lists(st.sampled_from([*PADDING, "\u2003", "\x1c", "\x1d", "\x1e", "\x1f"]), max_size=2)
+GOOD_REALS = ["1", "0.5", "-0", "0", "1e5", "1e-400", "\uff11\uff12", "\u0661\u0662\u0663", "1_0"]
+REALS = GOOD_REALS + ["-1", "1__0", "nan", "-nan", "inf", "-inf", "1e309", "-1e309", "", "x", "1 0"]
+
+
+def real_cells(texts):
+    cell = st.tuples(SPACES.map("".join), st.sampled_from(texts), SPACES.map("".join))
+    return st.lists(cell.map("".join), max_size=70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from([("monthly-series", "value"), ("storm", "damage_usd")]),
+    cells=st.one_of(real_cells(GOOD_REALS), real_cells(REALS)),
+)
+# a block that ``float`` takes whole but that holds a value below the minimum
+@example(name=("storm", "damage_usd"), cells=["1", " -1", "2"])
+def test_a_real_column_takes_a_block_as_its_rule_takes_each_cell(name, cells):
+    # a block of a real column's cells that ``float`` takes whole skips the
+    # rule; every value and finding must still be the rule's, bit for bit
+    c = column(*name)
+    lines = range(2, 2 + len(cells))
+    want_values, want_found = [], []
+    for at, cell in zip(lines, cells):
+        try:
+            want_values.append(c.read(cell).hex())
+        except ingest._BadCell as bad:
+            want_values.append(None)
+            want_found.append((at, 3, Finding(c.name, at, bad.args[0], "error", bad.args[1])))
+    found: list = []
+    values = ingest._column(c, 3)(cells, lines, found)
+    assert [None if v is None else v.hex() for v in values] == want_values
+    assert found == want_found
+
+
 def test_ingest_keeps_no_module_state_but_its_schemas_and_parser_caches():
     # a value that outlives a scan lives in a column's bounded cache, not in
     # a container of the module's own

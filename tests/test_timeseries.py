@@ -295,6 +295,20 @@ class TestFeatureTable:
         t = self.make()
         assert t.feature_names == ("x",)
 
+    @given(tables(), st.data())
+    def test_feature_names_follow_the_target_of_each_table_sharing_a_block(self, t, data):
+        # names asked of one table are kept with its block, which its slices
+        # and with_target tables share: each must still get its own target's
+        first = data.draw(st.sampled_from(t.column_names))
+        second = data.draw(st.sampled_from(t.column_names))
+        u = t.with_target(first)
+        assert u.feature_names == tuple(n for n in t.column_names if n != first)
+        v = u.with_target(second)
+        lo, hi = data.draw(bounds(len(t)))
+        for table, target in [(v, second), (v.slice(t.months[lo], t.months[hi]), second),
+                              (u, first), (t, t.target)]:
+            assert table.feature_names == tuple(n for n in t.column_names if n != target)
+
     def test_matrix_stacks_in_requested_order(self):
         t = self.make(3)
         m = t.matrix(["y", "x"])

@@ -10,7 +10,7 @@ from nowcast.errors import (
     NowcastError,
     TooShortError,
 )
-from nowcast.ledger import FirstDifference, MonthOneHot, SeasonalDifference
+from nowcast.ledger import FirstDifference, MonthOneHot, SeasonalDifference, TransformLedger
 from nowcast.timeseries import FeatureTable, MonthKey, MonthlySeries
 from nowcast.transforms import (
     ONE_HOT_COLUMNS,
@@ -23,7 +23,7 @@ from nowcast.transforms import (
     reconstruct_level,
     required_history,
 )
-from nowcast.transforms import _undifference, seasonal_difference
+from nowcast.transforms import _difference, _undifference, seasonal_difference
 
 
 def series(values, start=MonthKey(2015, 1), name="s"):
@@ -388,3 +388,64 @@ class TestOverflow:
         table = FeatureTable(table.months, columns, target="target")
         with pytest.raises(NonFiniteError, match="column 'f0' values"):
             apply_pipeline(table, approach)
+
+
+def reconstruct_by_walking_months(ledger, predicted_transformed, history, month):
+    """The reconstruction with its anchor checked on ``MonthKey`` values and
+    ``np.all``: what :func:`reconstruct_level` must equal, bits and errors."""
+    need = required_history(ledger)
+    if history.end != month.shift(-1):
+        raise AnchorMismatchError(f"history must end at {month.shift(-1)}, ends at {history.end}")
+    if len(history) < need:
+        raise AnchorMismatchError(f"ledger needs {need} months of history, got {len(history)}")
+    lags = [step.lag for step in ledger.steps if step.lag]
+    stages = [history.values]
+    for lag in lags[:-1]:
+        stages.append(_difference(stages[-1], lag))
+        if not np.all(np.isfinite(stages[-1])):
+            raise NonFiniteError("differencing the history overflows")
+    value = np.array([float(predicted_transformed)])
+    for lag, stage in zip(reversed(lags), reversed(stages)):
+        value = _undifference(value, stage, lag)
+    return float(value[0])
+
+
+LEDGERS = [
+    Approach.SEASONAL_DIFF.ledger,
+    Approach.MONTH_ONEHOT.ledger,
+    TransformLedger((FirstDifference(), FirstDifference(), SeasonalDifference(3))),
+    TransformLedger((MonthOneHot(),)),
+]
+# levels whose differences can overflow, or round, or cancel
+edge_floats = st.one_of(
+    wide_floats, st.sampled_from([1.7e308, -1.7e308, 9e307, -9e307, 0.1, 5e-324])
+)
+
+
+class TestReconstructLevelBits:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ledger=st.sampled_from(LEDGERS),
+        values=st.lists(edge_floats, min_size=1, max_size=20),
+        start=st.builds(MonthKey, st.integers(1990, 2030), st.integers(1, 12)),
+        offset=st.integers(-2, 2),
+        prediction=edge_floats,
+    )
+    @example(
+        ledger=Approach.SEASONAL_DIFF.ledger,
+        values=OVERFLOWING[:13],
+        start=MonthKey(2015, 1),
+        offset=0,
+        prediction=0.0,
+    )
+    def test_reconstruction_equals_the_month_walk(self, ledger, values, start, offset, prediction):
+        history = series(values, start=start)
+        month = history.end.shift(1 + offset)
+
+        def outcome(reconstruct):
+            try:
+                return reconstruct(ledger, prediction, history, month).hex()
+            except (AnchorMismatchError, NonFiniteError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(reconstruct_level) == outcome(reconstruct_by_walking_months)
