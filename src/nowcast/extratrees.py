@@ -589,15 +589,18 @@ def fit(
 
     Trees are grown together on the calling thread. ``n_threads`` is
     accepted for compatibility and ignored. Raises :class:`NonFiniteError`
-    when the targets are too large for a node's sums of squares to stay
-    finite, or when a feature's range (its maximum minus its minimum) is
-    not a finite float. Each limit is settled once per block, on the whole
-    block the table is a row range of, and checked on the table's own rows,
-    read in place, only when the block fails it; the features are gathered,
-    to name the wide ones, only when the table's range is not finite. The
+    when ``4 * (sum of |target|)**2`` overflows a float (a node's sums of
+    squares must stay finite) or a feature's ``max - min`` does (a threshold
+    is drawn strictly inside it). Each limit is checked first on the block
+    the table is a row range of, over all that block's rows: ``rows x
+    max|target| < 1e150``, or a finite ``max - min``, there holds for every
+    row range, so it settles the limit for every window (taken from a
+    slice, it would say nothing of later rows). Only when the block fails
+    is the limit checked exactly on the table's own rows: the ``math.fsum``
+    of ``|target|``, or each feature's range, naming the wide ones. The
     training matrix (the features, then the target) is gathered by one
     ``table.matrix`` call, and the trees' PCG64 streams are built, only
-    when some root can split (at least ``min_samples_split`` rows).
+    when some root can split.
     """
     if table.target is None:
         raise InvalidParamsError("fit requires the table's target to be set")
@@ -616,11 +619,7 @@ def fit(
             f"k_features={k} exceeds the {len(names)} available features"
         )
 
-    # every node's sums, squares and scores stay finite while 4 * s**2 does;
-    # s is at most n * max|target| of these rows, bounded in turn by that of
-    # the whole block; the exact sum is taken only when both near the limit
-    bound = len(whole.values) * whole.magnitudes[whole.index[table.target]]
-    if not (bound < 1e150 or len(y) * float(np.abs(y).max()) < 1e150):
+    if not len(whole.values) * whole.magnitudes[whole.index[table.target]] < 1e150:
         try:
             scale = math.fsum(np.abs(y).tolist())
             finite = math.isfinite(4 * scale * scale)
@@ -630,11 +629,7 @@ def fit(
             raise NonFiniteError(
                 "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
             )
-    # a threshold is drawn strictly inside a node's range, so every feature's
-    # range must be finite. The whole block's range bounds the table's, which
-    # bounds them all; a target wide enough to make them overflow has failed
-    # the check above, so the features are gathered only when neither is finite
-    if not (math.isfinite(whole.value_range) or math.isfinite(table.value_range())):
+    if not math.isfinite(whole.value_range):
         X = table.matrix(names)
         with np.errstate(over="ignore"):
             spans = (X.max(axis=0) - X.min(axis=0)).tolist()

@@ -654,26 +654,22 @@ _COUNT_OF = attrgetter("active_employees")
 def _by_month(records: Sequence[EmployerRecord]) -> dict[MonthKey, dict[str, int]]:
     """Each month's active employees by employer id.
 
-    A file lists a month's records together, so each run of one month
-    becomes one dict at once. A run that repeats an id, or that meets an
-    earlier run of its month, sends every record through the per-record
-    loop, which names the first repeat.
+    Each run of one month updates that month's dict at once. A run that
+    adds fewer ids than it has records repeats one, and a walk over the
+    records then names the first repeat in file order.
     """
     by_month: dict[MonthKey, dict[str, int]] = {}
     for month, run in groupby(records, _MONTH_OF):
         run = list(run)
-        counts = dict(zip(map(_EMPLOYER_OF, run), map(_COUNT_OF, run)))
-        if len(counts) < len(run) or month in by_month:
-            break
-        by_month[month] = counts
-    else:
-        return by_month
-    by_month = {}
-    for r in records:
-        month = by_month.setdefault(r.month, {})
-        if r.employer_id in month:
-            raise ValueError(f"duplicate record for employer {r.employer_id!r} in {r.month}")
-        month[r.employer_id] = r.active_employees
+        counts = by_month.setdefault(month, {})
+        size = len(counts)
+        counts.update(zip(map(_EMPLOYER_OF, run), map(_COUNT_OF, run)))
+        if len(counts) - size < len(run):
+            seen = set()
+            for key in zip(map(_MONTH_OF, records), map(_EMPLOYER_OF, records)):
+                if key in seen:
+                    raise ValueError(f"duplicate record for employer {key[1]!r} in {key[0]}")
+                seen.add(key)
     return by_month
 
 

@@ -24,8 +24,9 @@ from .errors import InvalidConfigError
 from .extratrees import _integer
 from .timeseries import MonthKey, MonthlySeries
 
-# all generated series start here; the config controls only the length
+# all generated series start here and end by 9999-12; the config sets the length
 START_MONTH = MonthKey(2012, 1)
+_MAX_MONTHS = MonthKey(9999, 12) - START_MONTH + 1
 
 BASE_LEVEL = 130_000.0  # thousands of persons, an employment-like scale
 
@@ -55,8 +56,8 @@ class SynthConfig:
         for name in ("months", "n_features", "seed"):
             value = _integer(getattr(self, name), name, InvalidConfigError)
             object.__setattr__(self, name, value)
-        if self.months < 36:
-            raise InvalidConfigError(f"months must be >= 36, got {self.months}")
+        if not 36 <= self.months <= _MAX_MONTHS:
+            raise InvalidConfigError(f"months must be in 36..{_MAX_MONTHS}, got {self.months}")
         if self.noise_sd < 0 or self.feature_noise_sd < 0:
             raise InvalidConfigError("noise standard deviations must be >= 0")
         if self.n_features < 1:

@@ -7,8 +7,7 @@ A slice, window or ``with_target`` of a valid object is not validated again:
 its arrays are read-only views that share memory with the parent's. A
 table keeps its columns in one months x columns block, so a slice is one
 row range of it, whatever the number of columns, and ``matrix`` is one
-gather from it. A slice shares its block's checked facts too, computed
-once over the whole block, so they bound those of every row range of it.
+gather from it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .ledger import TransformLedger
 
 @dataclass(frozen=True, order=True)
 class MonthKey:
-    """A Gregorian calendar month. Ordering is (year, month) lexicographic."""
+    """A Gregorian calendar month of years 0..9999. Ordering is (year, month) lexicographic."""
 
     year: int
     month: int
@@ -33,6 +32,8 @@ class MonthKey:
     def __post_init__(self) -> None:
         if not 1 <= self.month <= 12:
             raise ValueError(f"month must be in 1..12, got {self.month}")
+        if not 0 <= self.year <= 9999:
+            raise ValueError(f"year must be in 0..9999, got {self.year}")
 
     @classmethod
     def parse(cls, text: str) -> "MonthKey":
@@ -99,6 +100,7 @@ class MonthlySeries:
         arr = _read_only(_finite(self.values))
         if arr.size == 0:
             raise ValueError("a MonthlySeries must contain at least one value")
+        self.start.shift(arr.size - 1)  # a last month past 9999-12 raises ValueError
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -143,10 +145,9 @@ class MonthlySeries:
 
 class _Block:
     """The block a table's constructor made, with its value range, each
-    column's largest magnitude and the feature names per target, computed
-    once and shared by every slice and ``with_target`` table of that table.
-    The figures are over all the block's rows, so they bound those of any
-    row range; taken from a slice, they would say nothing of later rows."""
+    column's largest magnitude (over all its rows, for ``extratrees.fit``)
+    and the feature names per target, computed once and shared by every
+    slice and ``with_target`` table of that table."""
 
     def __init__(self, values: np.ndarray, index: Mapping[str, int]):
         self.values, self.index, self._names = values, index, {}
@@ -280,14 +281,6 @@ class FeatureTable:
         a name that is not a column raises ``KeyError``."""
         index = self.columns.index
         return self.columns.block.take([index[name] for name in names], axis=1)
-
-    def value_range(self) -> float:
-        """The largest value in the table minus the smallest, over every
-        column (the target's too), read in place; ``inf`` when that
-        difference overflows a float. It bounds every column's range."""
-        block = self.columns.block
-        with np.errstate(over="ignore"):
-            return float(block.max() - block.min())
 
     def with_target(self, target: str) -> "FeatureTable":
         """Same table, sharing its columns, with the target set to ``target``."""

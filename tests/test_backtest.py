@@ -365,30 +365,31 @@ def outcome(table, config):
         return type(exc), str(exc)
 
 
-def fit_checking_the_window(table, params, n_threads=None):
-    """``fit``, after its two input limits are checked on the window's own
-    rows: ``abs(y).max()`` and ``value_range()`` read on every window."""
-    y = table.target_values()
-    if not len(y) * float(np.abs(y).max()) < 1e150:
-        try:
-            scale = math.fsum(np.abs(y).tolist())
-            finite = math.isfinite(4 * scale * scale)
-        except OverflowError:  # fsum overflowed
-            finite = False
-        if not finite:
-            raise NonFiniteError(
-                "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
-            )
-    if not math.isfinite(table.value_range()):
-        X = table.matrix(table.feature_names)
-        with np.errstate(over="ignore"):
-            spans = X.max(axis=0) - X.min(axis=0)
-        wide = [n for n, span in zip(table.feature_names, spans) if not math.isfinite(span)]
-        if wide:
-            raise NonFiniteError(
-                f"fit features are too wide: max - min overflows a float for {', '.join(wide)}"
-            )
-    return fit(table, params, n_threads)
+def fit_on_the_window_alone(table, params, n_threads=None):
+    """``fit`` on a new table built from copies of the window's own rows, so
+    the block it checks its two input limits on is the window itself."""
+    alone = FeatureTable(table.months, dict(table.columns), table.target, table.ledger)
+    return fit(alone, params, n_threads)
+
+
+def fit_noting_exact_checks(checks):
+    """``fit``, noting in ``checks`` each exact check that reads the window's
+    rows: the ``math.fsum`` of its targets (``"target"``), or the gather of
+    its features alone (``"range"``; the forest gathers them with the target)."""
+    fsum, matrix = math.fsum, FeatureTable.matrix
+
+    def features(table, names):
+        if table.target not in names:
+            checks.append("range")
+        return matrix(table, names)
+
+    def noting(table, params, n_threads=None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(math, "fsum", lambda values: checks.append("target") or fsum(values))
+            m.setattr(FeatureTable, "matrix", features)
+            return fit(table, params, n_threads)
+
+    return noting
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,31 +411,32 @@ def test_block_facts_give_the_records_and_errors_of_checking_every_window(
     approach, n_months, n_features, seed, spike, spike_column, spike_row, min_samples_split
 ):
     # fit settles its range and target limits once on the block every window
-    # slices; a reference that checks the rows of every window must give the
-    # same records and the same errors. A spike of v between neighbours of 0
+    # slices; a reference that fits each window as a table of its own, whose
+    # block is that window, must give the same records and errors. A spike of v between neighbours of 0
     # differences to v then -v: past 1e150 the target's exact sum is taken,
     # from 1e154 it overflows, and 1e308 overflows any spread
     rng = np.random.default_rng(seed)
     months = tuple(MonthKey(2010, 1).shift(i) for i in range(n_months))
     columns = {f"x{j}": np.cumsum(rng.normal(size=n_months)) for j in range(n_features)}
     columns["y"] = np.cumsum(rng.normal(size=n_months))
+    spiked = None
     if spike is not None:
-        name = list(columns)[-1 - spike_column % len(columns)]  # 0 is the target
+        spiked = list(columns)[-1 - spike_column % len(columns)]  # 0 is the target
         row = n_months - 1 - spike_row % n_months  # 0 is the last month
-        columns[name][max(row - 1, 0) : row + 2] = 0.0
-        columns[name][row] = spike
+        columns[spiked][max(row - 1, 0) : row + 2] = 0.0
+        columns[spiked][row] = spike
     table = FeatureTable(months, columns, target="y")
     config = BacktestConfig(
         MIN_TRAIN_FLOOR[approach],
         approach,
         ExtraTreesParams(n_trees=2, min_samples_split=min_samples_split, seed=seed),
     )
-    reads = []
-    value_range = FeatureTable.value_range
+    checks = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(FeatureTable, "value_range", lambda t: reads.append(t) or value_range(t))
+        m.setattr(backtest, "fit", fit_noting_exact_checks(checks))
         got = outcome(table, config)
-        # a block whose spread is finite leaves every window's own range unread
-        assert not reads or spike == 1e308
-        m.setattr(backtest, "fit", fit_checking_the_window)
+        m.setattr(backtest, "fit", fit_on_the_window_alone)
         assert got == outcome(table, config)
+    # a block within a limit leaves every window's own rows unread for it
+    assert "target" not in checks or (spike >= 1e152 and spiked == "y")
+    assert "range" not in checks or spike == 1e308

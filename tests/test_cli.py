@@ -146,6 +146,12 @@ class TestSynthCommand:
         assert code == 1
         assert "36" in err
 
+    def test_months_past_9999_12_exit_one(self, tmp_path, capsys):
+        code, _, err = run(synth_args(tmp_path / "d", months=95_857), capsys)
+        assert code == 1
+        assert "95856" in err
+        assert not (tmp_path / "d").exists()
+
 
 @pytest.fixture()
 def synth_dir(tmp_path, capsys):

@@ -206,6 +206,14 @@ class TestReaders:
         np.testing.assert_array_equal(back.values, series.values)
         assert back.name == "x"
 
+    def test_monthly_series_round_trip_to_the_last_month(self, tmp_path):
+        # 9999-12 is the last month YYYY-MM writes, and it reads back
+        series = MonthlySeries(MonthKey(9999, 10), np.array([1.0, 2.0, 3.0]), name="x")
+        path = tmp_path / "x.csv"
+        write_monthly_series_csv(series, path)
+        assert path.read_text().splitlines()[-1] == "9999-12,3.0"
+        assert read_monthly_series_csv(path) == series
+
     def test_monthly_series_gap_rejected(self, tmp_path):
         path = write(tmp_path, "s.csv", "month,value\n2020-01,1\n2020-03,2\n")
         with pytest.raises(ValueError):
@@ -993,6 +1001,32 @@ class TestMatchedPanel:
         # without the repeat, the split month is one panel month
         series = matched_panel_aggregate(records[:4])
         np.testing.assert_array_equal(series.values, [2.0])
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("XYZ"), st.integers(1, 3), st.integers(0, 50)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_months_by_runs_match_a_per_record_walk(self, cells):
+        # interleaved months and repeats: each month's counts, or the first
+        # repeat in file order, as a walk over the records one at a time
+        records = [EmployerRecord(e, MonthKey(2021, m), n, "s", "a") for e, m, n in cells]
+        want, repeat = {}, None
+        for r in records:
+            counts = want.setdefault(r.month, {})
+            if r.employer_id in counts:
+                repeat = f"duplicate record for employer {r.employer_id!r} in {r.month}"
+                break
+            counts[r.employer_id] = r.active_employees
+        if repeat:
+            with pytest.raises(ValueError, match=f"^{repeat}$"):
+                ingest._by_month(records)
+        else:
+            got = ingest._by_month(records)
+            assert got == want and list(got) == list(want)
+            assert [list(counts) for counts in got.values()] == [list(c) for c in want.values()]
 
 
 class TestClaimsAggregation:

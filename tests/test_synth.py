@@ -25,12 +25,18 @@ class TestConfig:
             {"months": 48, "seasonal_amplitudes": (1.0,) * 11},
             {"months": 48, "seed": -1},
             {"months": 48, "shock_month": MonthKey(2030, 1)},
+            {"months": 95_857},  # its last month would be 10000-01
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         kwargs.setdefault("seed", 1)
         with pytest.raises(InvalidConfigError):
             SynthConfig(**kwargs)
+
+    def test_months_may_run_to_9999_12(self):
+        # the last month YYYY-MM writes
+        config = SynthConfig(months=95_856, seed=1)
+        assert START_MONTH.shift(config.months - 1) == MonthKey(9999, 12)
 
     @pytest.mark.parametrize("name", ["months", "n_features", "seed"])
     @pytest.mark.parametrize("value", [40.5, 48.0, True, False, "48", None])

@@ -45,6 +45,20 @@ class TestMonthKey:
         with pytest.raises(ValueError):
             MonthKey(2020, month)
 
+    @pytest.mark.parametrize("year", [-5, -1, 10000])
+    def test_year_bounds(self, year):
+        # the years four ASCII digits write and parse reads back
+        with pytest.raises(ValueError, match=r"^year must be in 0\.\.9999"):
+            MonthKey(year, 1)
+
+    def test_years_zero_and_9999_round_trip_and_nothing_follows_9999_12(self):
+        for key in (MonthKey(0, 1), MonthKey(9999, 12)):
+            assert MonthKey.parse(str(key)) == key
+        with pytest.raises(ValueError, match="year must be in 0..9999, got 10000"):
+            MonthKey(9999, 12).shift(1)
+        with pytest.raises(ValueError, match="year must be in 0..9999, got -1"):
+            MonthKey(0, 1).shift(-1)
+
     def test_ordering_is_lexicographic(self):
         assert MonthKey(2019, 12) < MonthKey(2020, 1) < MonthKey(2020, 2)
 
@@ -89,6 +103,11 @@ class TestMonthlySeries:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             series(MonthKey(2020, 1), [])
+
+    def test_rejects_months_past_9999_12(self):
+        assert series(MonthKey(9999, 11), [1, 2]).end == MonthKey(9999, 12)
+        with pytest.raises(ValueError, match="year must be in 0..9999, got 10000"):
+            series(MonthKey(9999, 11), [1, 2, 3])
 
     def test_values_are_read_only(self):
         s = series(MonthKey(2020, 1), [1, 2])
