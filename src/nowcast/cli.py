@@ -138,15 +138,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             return _cmd_synth(args)
         return _cmd_backtest(args)
-    except UnreadableFileError as exc:
+    except (NowcastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NowcastError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (UnreadableFileError, OSError)) else 1
 
 
 if __name__ == "__main__":

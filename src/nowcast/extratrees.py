@@ -593,14 +593,14 @@ def fit(
     squares must stay finite) or a feature's ``max - min`` does (a threshold
     is drawn strictly inside it). Each limit is checked first on the block
     the table is a row range of, over all that block's rows: ``rows x
-    max|target| < 1e150``, or a finite ``max - min``, there holds for every
-    row range, so it settles the limit for every window (taken from a
-    slice, it would say nothing of later rows). Only when the block fails
-    is the limit checked exactly on the table's own rows: the ``math.fsum``
-    of ``|target|``, or each feature's range, naming the wide ones. The
-    training matrix (the features, then the target) is gathered by one
-    ``table.matrix`` call, and the trees' PCG64 streams are built, only
-    when some root can split.
+    max|target| < 1e150``, or a finite ``2 x max|x|`` (no ``max - min``
+    exceeds it), there holds for every row range, so it settles the limit
+    for every window (taken from a slice, it would say nothing of later
+    rows). Only when the block fails is the limit checked exactly on the
+    table's own rows: the ``math.fsum`` of ``|target|``, or each feature's
+    range, naming the wide ones. The training matrix (the features, then
+    the target) is gathered by one ``table.matrix`` call, and the trees'
+    PCG64 streams are built, only when some root can split.
     """
     if table.target is None:
         raise InvalidParamsError("fit requires the table's target to be set")
@@ -619,7 +619,7 @@ def fit(
             f"k_features={k} exceeds the {len(names)} available features"
         )
 
-    if not len(whole.values) * whole.magnitudes[whole.index[table.target]] < 1e150:
+    if not len(whole.block) * whole.largest[whole.index[table.target]] < 1e150:
         try:
             scale = math.fsum(np.abs(y).tolist())
             finite = math.isfinite(4 * scale * scale)
@@ -629,7 +629,7 @@ def fit(
             raise NonFiniteError(
                 "fit targets are too large: 4 * (sum of |target|)**2 overflows a float"
             )
-    if not math.isfinite(whole.value_range):
+    if not 2 * max(whole.largest) < math.inf:
         X = table.matrix(names)
         with np.errstate(over="ignore"):
             spans = (X.max(axis=0) - X.min(axis=0)).tolist()

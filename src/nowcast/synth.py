@@ -16,6 +16,7 @@ identical configs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,9 @@ from .timeseries import MonthKey, MonthlySeries
 # all generated series start here and end by 9999-12; the config sets the length
 START_MONTH = MonthKey(2012, 1)
 _MAX_MONTHS = MonthKey(9999, 12) - START_MONTH + 1
+
+# the config's floats, besides the seasonal amplitudes
+_REALS = ("trend_per_month", "noise_sd", "feature_noise_sd", "shock_size")
 
 BASE_LEVEL = 130_000.0  # thousands of persons, an employment-like scale
 
@@ -58,8 +62,16 @@ class SynthConfig:
             object.__setattr__(self, name, value)
         if not 36 <= self.months <= _MAX_MONTHS:
             raise InvalidConfigError(f"months must be in 36..{_MAX_MONTHS}, got {self.months}")
+        reals = [(name, getattr(self, name)) for name in _REALS]
+        reals += [(f"seasonal_amplitudes[{k}]", a) for k, a in enumerate(self.seasonal_amplitudes)]
+        for name, value in reals:
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise InvalidConfigError(f"{name} must be a finite real number, got {value!r}")
         if self.noise_sd < 0 or self.feature_noise_sd < 0:
             raise InvalidConfigError("noise standard deviations must be >= 0")
+        for name in ("noise_sd", "feature_noise_sd"):  # -0.0 is stored as 0.0
+            object.__setattr__(self, name, abs(getattr(self, name)))
         if self.n_features < 1:
             raise InvalidConfigError(f"n_features must be >= 1, got {self.n_features}")
         if len(self.seasonal_amplitudes) != 12:
@@ -84,6 +96,7 @@ class SynthResult:
     truth: dict
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked for once, at the end
 def generate(config: SynthConfig) -> SynthResult:
     """Build the target, its feature series, and a ledger of the true parts.
 
@@ -92,7 +105,8 @@ def generate(config: SynthConfig) -> SynthResult:
     underlying path (trend + seasonal + shock) plus observation noise;
     each feature is its coefficient times the underlying path's
     month-over-month change plus its own noise. The first month, which has
-    no prior observation, uses the trend as the expected change.
+    no prior observation, uses the trend as the expected change. A config
+    whose values overflow a float raises :class:`InvalidConfigError`.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = config.months
@@ -111,15 +125,13 @@ def generate(config: SynthConfig) -> SynthResult:
     changes = np.empty(n)
     changes[0] = config.trend_per_month
     changes[1:] = underlying[1:] - underlying[:-1]
+    signals = coefficients[:, None] * changes + feature_noise
+    if not (np.isfinite(target).all() and np.isfinite(signals).all()):
+        raise InvalidConfigError("generated values overflow a float: the config is too large")
 
     features = tuple(
-        MonthlySeries(
-            START_MONTH,
-            coefficients[i] * changes + feature_noise[i],
-            name=f"feature_{i + 1:02d}",
-            units="persons (change signal)",
-        )
-        for i in range(config.n_features)
+        MonthlySeries(START_MONTH, signal, name=f"feature_{i:02d}", units="persons (change signal)")
+        for i, signal in enumerate(signals, 1)
     )
     truth = {
         "start": str(START_MONTH),

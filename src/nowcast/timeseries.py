@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -143,43 +142,26 @@ class MonthlySeries:
         )
 
 
-class _Block:
-    """The block a table's constructor made, with its value range, each
-    column's largest magnitude (over all its rows, for ``extratrees.fit``)
-    and the feature names per target, computed once and shared by every
-    slice and ``with_target`` table of that table."""
-
-    def __init__(self, values: np.ndarray, index: Mapping[str, int]):
-        self.values, self.index, self._names = values, index, {}
-
-    @cached_property
-    def value_range(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(self.values.max() - self.values.min())
-
-    @cached_property
-    def magnitudes(self) -> list[float]:
-        return np.abs(self.values).max(axis=0).tolist()
-
-    def feature_names(self, target: str | None) -> tuple[str, ...]:
-        if target not in self._names:
-            self._names[target] = tuple(name for name in self.index if name != target)
-        return self._names[target]
-
-
 class _Columns(Mapping):
     """A table's columns by name, over its read-only months x columns block.
 
     Membership, ``len`` and iteration read the names alone. The view of a
     column is made from the block when that column is first asked for and
-    kept, so asking again gives the same array; a slice of the table is a
-    new mapping over a row range of the block, sharing the ``whole`` block.
+    kept, so asking again gives the same array. The columns a table's
+    constructor made are their own ``whole``: they hold each column's
+    largest magnitude over all rows (``largest``, for ``extratrees.fit``)
+    and the feature names per target. A slice of the table is a new
+    mapping over a row range of the block with the same ``whole``.
     """
 
-    __slots__ = ("block", "index", "whole", "_views")
+    __slots__ = ("block", "index", "whole", "largest", "_views", "_names")
 
-    def __init__(self, block: np.ndarray, whole: _Block):
-        self.block, self.index, self.whole, self._views = block, whole.index, whole, {}
+    def __init__(self, block: np.ndarray, index: Mapping[str, int], whole: _Columns | None = None):
+        self.block, self.index, self._views = block, index, {}
+        if whole is None:  # no block-sized temporary, as np.abs(block) would make
+            whole, self._names = self, {}
+            self.largest = np.maximum(block.max(axis=0), -block.min(axis=0)).tolist()
+        self.whole = whole
 
     def __getitem__(self, name: str) -> np.ndarray:
         view = self._views.get(name)
@@ -243,7 +225,7 @@ class FeatureTable:
             raise ValueError(f"target {self.target!r} is not a column")
         object.__setattr__(self, "months", months)
         block = _read_only(np.column_stack(checked))
-        object.__setattr__(self, "columns", _Columns(block, _Block(block, index)))
+        object.__setattr__(self, "columns", _Columns(block, index))
 
     def __len__(self) -> int:
         return len(self.months)
@@ -263,7 +245,10 @@ class FeatureTable:
     @property
     def feature_names(self) -> tuple[str, ...]:
         """Column names excluding the target, in table order."""
-        return self.columns.whole.feature_names(self.target)
+        names = self.columns.whole._names  # one tuple per target, for all slices
+        if self.target not in names:
+            names[self.target] = tuple(name for name in self.columns if name != self.target)
+        return names[self.target]
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -298,7 +283,7 @@ class FeatureTable:
                 f"requested {first}..{last} outside table range {self.start}..{self.end}"
             )
         rows = slice(first - self.start, last - self.start + 1)
-        columns = _Columns(self.columns.block[rows], self.columns.whole)
+        columns = _Columns(self.columns.block[rows], self.columns.index, self.columns.whole)
         return _trusted_replace(self, months=self.months[rows], columns=columns)
 
     def __eq__(self, other: object) -> bool:

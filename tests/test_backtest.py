@@ -100,6 +100,10 @@ class TestDirectionalAccuracy:
         with pytest.raises(LengthMismatchError):
             directional_accuracy([1.0], [1.0, 2.0], [0.0, 0.0])
 
+    def test_no_records(self):
+        with pytest.raises(ValueError, match="^directional accuracy needs at least one record$"):
+            directional_accuracy([], [], [])
+
 
 class TestConfig:
     @pytest.mark.parametrize("approach,floor", [("A", 24), ("B", 13)])
@@ -139,6 +143,12 @@ class TestRunBacktest:
         report = run_backtest(table, config, n_threads=1)
         assert len(report.records) == 5
         assert [r.month for r in report.records] == list(table.months[13:])
+
+    def test_table_without_target_rejected(self):
+        table = linear_table(18).with_target(None)
+        config = BacktestConfig(13, Approach.MONTH_ONEHOT, small_params())
+        with pytest.raises(ValueError, match="^run_backtest requires the table's target"):
+            run_backtest(table, config)
 
     def test_too_short_when_no_test_month(self):
         table = linear_table(13)
@@ -440,3 +450,17 @@ def test_block_facts_give_the_records_and_errors_of_checking_every_window(
     # a block within a limit leaves every window's own rows unread for it
     assert "target" not in checks or (spike >= 1e152 and spiked == "y")
     assert "range" not in checks or spike == 1e308
+
+
+def test_a_feature_near_the_largest_float_of_one_sign_fits_through_the_exact_check():
+    # 2 x max|x| overflows, so the block does not settle the range limit, but
+    # the window's own range is about 5e305: the exact check passes and the
+    # trees split on the feature
+    months = tuple(MonthKey(2010, 1).shift(i) for i in range(6))
+    x = 1e308 + 1e305 * np.arange(6.0)
+    table = FeatureTable(months, {"x": x, "y": np.arange(6.0)}, target="y")
+    checks = []
+    params = ExtraTreesParams(n_trees=3, min_samples_split=2, seed=1)
+    model = fit_noting_exact_checks(checks)(table, params)
+    assert checks == ["range"]
+    assert all(tree.feature[0] == 0 for tree in model.trees)

@@ -104,6 +104,13 @@ class TestValidateCommand:
         assert code == 2
         assert "error" in err
 
+    def test_empty_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "claims.csv"
+        path.write_bytes(b"")
+        code, out, err = run(["validate", str(path), "--schema", "claims"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is empty (missing header)\n"
+
 
 def synth_args(out_dir, months=48, seed=3, extra=()):
     return [
@@ -150,6 +157,23 @@ class TestSynthCommand:
         code, _, err = run(synth_args(tmp_path / "d", months=95_857), capsys)
         assert code == 1
         assert "95856" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--trend", "inf"], "trend_per_month must be a finite real number, got inf"),
+            (["--noise-sd", "nan"], "noise_sd must be a finite real number, got nan"),
+            (["--seasonal-amplitude", "nan"],
+             "seasonal_amplitudes[0] must be a finite real number, got nan"),
+            (["--trend", "1e308"], "generated values overflow a float: the config is too large"),
+        ],
+        ids=["inf-trend", "nan-noise", "nan-seasonal", "overflowing-trend"],
+    )
+    def test_sizes_generate_cannot_use_exit_one(self, tmp_path, capsys, extra, message):
+        # without a numpy warning: under pytest a warning is an error
+        code, _, err = run(synth_args(tmp_path / "d", months=40, seed=1, extra=extra), capsys)
+        assert (code, err) == (1, f"error: {message}\n")
         assert not (tmp_path / "d").exists()
 
 
@@ -205,6 +229,13 @@ class TestBacktestCommand:
             )
             assert code == 0
             assert (out / "report.json").exists()
+
+    def test_out_naming_a_regular_file_exits_two(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code, stdout, err = run(backtest_args(synth_dir, out), capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: [Errno 17] File exists:") and str(out) in err
 
     def test_min_train_beyond_span_exits_one(self, synth_dir, tmp_path, capsys):
         code, _, err = run(

@@ -137,6 +137,11 @@ class TestFit:
         with pytest.raises(TooShortError):
             fit(one_row, ExtraTreesParams(n_trees=1))
 
+    def test_requires_a_feature(self):
+        only_target = table_from_arrays({"y": [1.0, 2.0, 3.0]})
+        with pytest.raises(InvalidParamsError, match="^fit requires at least one feature column$"):
+            fit(only_target, ExtraTreesParams(n_trees=1))
+
     def test_targets_too_large_to_score_raise_a_domain_error(self):
         # finite targets whose sums of squares overflow: a NonFiniteError
         # before any tree is grown (numpy overflow warnings fail the test)
@@ -431,6 +436,11 @@ class TestImportances:
         model = fit(random_table(25, 3, seed=43), ExtraTreesParams(n_trees=2, seed=43))
         with pytest.raises(InvalidParamsError):
             ExtraTreesModel(model.trees, model.params, model.feature_names, [0.5, 0.5])
+
+    def test_model_needs_finite_importances(self):
+        model = fit(random_table(25, 2, seed=43), ExtraTreesParams(n_trees=2, seed=43))
+        with pytest.raises(InvalidParamsError, match="^importances must be finite$"):
+            ExtraTreesModel(model.trees, model.params, model.feature_names, [math.nan, 1.0])
 
 
 class TestPredict:

@@ -946,6 +946,10 @@ class TestMatchedPanel:
         ]
         np.testing.assert_array_equal(matched_panel_aggregate(records).values, [0.0])
 
+    def test_no_records(self):
+        with pytest.raises(TooShortError, match="^no employer records$"):
+            matched_panel_aggregate([])
+
     def test_single_month_too_short(self):
         with pytest.raises(TooShortError):
             matched_panel_aggregate(
@@ -1079,6 +1083,13 @@ class TestClaimsAggregation:
         weeks = self.january_weeks()
         with pytest.raises(ValueError):
             aggregate_claims_monthly(weeks + [weeks[0]])
+
+    def test_covered_months_that_skip_one_rejected(self):
+        # every Saturday of January and of March 2017, none of February
+        march = [WeeklyClaims(dt.date(2017, 3, day), 1, 1) for day in (4, 11, 18, 25)]
+        gap = "^covered months have a gap between 2017-01 and 2017-03"
+        with pytest.raises(ValueError, match=gap):
+            aggregate_claims_monthly(self.january_weeks() + march)
 
 
 class TestStormAggregation:

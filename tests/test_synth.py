@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,12 +28,43 @@ class TestConfig:
             {"months": 48, "seed": -1},
             {"months": 48, "shock_month": MonthKey(2030, 1)},
             {"months": 95_857},  # its last month would be 10000-01
+            {"months": 48, "trend_per_month": math.inf},
+            {"months": 48, "noise_sd": math.nan},
+            {"months": 48, "seasonal_amplitudes": (math.nan,) * 12},
+            {"months": 48, "feature_noise_sd": -math.inf},
+            {"months": 48, "shock_size": True},
+            {"months": 48, "seasonal_amplitudes": (0.0,) * 11 + ("1",)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         kwargs.setdefault("seed", 1)
         with pytest.raises(InvalidConfigError):
             SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["trend_per_month", "noise_sd", "feature_noise_sd",
+                                      "shock_size"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, "1.0", None])
+    def test_sizes_must_be_finite_reals(self, name, value):
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be a finite real number, got"):
+            SynthConfig(months=48, seed=1, **{name: value})
+
+    def test_seasonal_amplitudes_named_by_index(self):
+        amplitudes = (0.0,) * 5 + (math.inf,) + (0.0,) * 6
+        with pytest.raises(InvalidConfigError, match=r"^seasonal_amplitudes\[5\] must be a finite"):
+            SynthConfig(months=48, seed=1, seasonal_amplitudes=amplitudes)
+
+    def test_negative_zero_noise_stored_as_zero(self):
+        config = SynthConfig(months=48, seed=1, noise_sd=-0.0, feature_noise_sd=-0.0)
+        signs = [math.copysign(1.0, sd) for sd in (config.noise_sd, config.feature_noise_sd)]
+        assert signs == [1.0, 1.0]
+        assert repr(generate(config).truth["feature_noise_sd"]) == "0.0"
+
+    def test_overflow_in_generate_raises_without_warnings(self):
+        # under pytest a numpy warning is an error, so reaching the raise shows there was none
+        for kwargs in [{"trend_per_month": 1e308}, {"noise_sd": 1e308},
+                       {"shock_month": START_MONTH, "shock_size": -1.7e308}]:
+            with pytest.raises(InvalidConfigError, match="^generated values overflow a float"):
+                generate(SynthConfig(months=48, seed=1, **kwargs))
 
     def test_months_may_run_to_9999_12(self):
         # the last month YYYY-MM writes

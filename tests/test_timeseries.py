@@ -333,3 +333,42 @@ class TestFeatureTable:
         m = t.matrix(["y", "x"])
         np.testing.assert_array_equal(m[:, 0], t.column("y"))
         np.testing.assert_array_equal(m[:, 1], t.column("x"))
+
+    @given(tables(), st.data())
+    def test_slices_and_with_target_tables_share_the_constructors_columns(self, t, data):
+        # the constructor's columns are the one holder of the block's facts:
+        # each column's largest magnitude over all rows
+        lo, hi = data.draw(bounds(len(t)))
+        s = t.slice(t.months[lo], t.months[hi])
+        for table in [t, s, s.slice(s.start, s.start), t.with_target(t.column_names[-1])]:
+            assert table.columns.whole is t.columns
+        expected = [float(np.abs(t.column(name)).max()) for name in t.column_names]
+        assert t.columns.largest == expected
+
+
+M0 = MonthKey(2020, 1)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: series(M0, [[1.0, 2.0]]), ValueError,
+         r"values must be one-dimensional, got shape \(1, 2\)"),
+        (lambda: series(M0, [1.0, 2.0]).window(M0.shift(1), M0), OutOfRangeError,
+         "inverted window 2020-02..2020-01"),
+        (lambda: FeatureTable((), {"x": []}), ValueError,
+         "a FeatureTable must cover at least one month"),
+        (lambda: FeatureTable((M0,), {}), ValueError,
+         "a FeatureTable must have at least one column"),
+        (lambda: FeatureTable((M0,), {"x": [1.0]}).target_values(), ValueError,
+         "table has no target column set"),
+        (lambda: align([]), ValueError, "align requires at least one series"),
+        (lambda: align([series(M0, [1.0], name="")]), ValueError,
+         "every series needs a non-empty name to become a column"),
+    ],
+    ids=["2d-values", "inverted-window", "no-months", "no-columns", "no-target", "no-series",
+         "unnamed-series"],
+)
+def test_invalid_inputs_raise_naming_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -15,6 +15,7 @@ from nowcast.timeseries import FeatureTable, MonthKey, MonthlySeries
 from nowcast.transforms import (
     ONE_HOT_COLUMNS,
     Approach,
+    OneHotVector,
     apply_pipeline,
     first_difference,
     invert_first_difference,
@@ -61,6 +62,10 @@ class TestSeasonalDifference:
     def test_exact_period_length_too_short(self):
         with pytest.raises(TooShortError):
             seasonal_difference(series(np.arange(12.0)))
+
+    def test_period_below_two_rejected(self):
+        with pytest.raises(ValueError, match="^seasonal period must be >= 2, got 1$"):
+            SeasonalDifference(1)
 
 
 class TestInvertFirstDifference:
@@ -139,6 +144,19 @@ class TestOneHot:
         v = one_hot_month(MonthKey(2021, month))
         assert sum(v.components) == 1
         assert v.components[month - 1] == 1
+
+    @pytest.mark.parametrize(
+        "components,message",
+        [
+            ((1,) + (0,) * 10, "expected 12 components, got 11"),
+            ((2,) + (0,) * 11, "components must be 0 or 1"),
+            ((1, 1) + (0,) * 10, "exactly one component must be 1"),
+        ],
+        ids=["eleven", "a-two", "two-ones"],
+    )
+    def test_invalid_vectors_rejected(self, components, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OneHotVector(components)
 
 
 def level_table(n_rows, n_features=2, seed=0, start=MonthKey(2014, 1)):
